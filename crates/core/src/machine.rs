@@ -42,8 +42,8 @@ use taichi_hw::{
 use taichi_os::{ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId};
 use taichi_sim::trace::FailureDump;
 use taichi_sim::{
-    EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng, SimDuration, SimTime,
-    TraceKind, Tracer,
+    DelayLine, EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng, SimDuration,
+    SimTime, TraceKind, Tracer,
 };
 use taichi_virt::{VcpuState, VmExitReason};
 
@@ -104,14 +104,12 @@ impl std::fmt::Display for Mode {
     }
 }
 
+/// Events dispatched through the global [`EventQueue`]. The packet
+/// path (generator arrivals, accelerator deliveries, DP burst
+/// completions) is not here: those live in out-of-queue sources the
+/// run loop merges by `(time, seq)` (see [`Machine::run_until`]).
 #[derive(Debug)]
 enum Event {
-    NextArrival {
-        gen: usize,
-    },
-    Delivered {
-        packet: Packet,
-    },
     ProbeIrq {
         host: CpuId,
     },
@@ -135,9 +133,6 @@ enum Event {
     },
     KernelWake {
         tid: ThreadId,
-    },
-    DpBurstDone {
-        si: usize,
     },
     VmCreate {
         request: VmCreateRequest,
@@ -196,12 +191,87 @@ pub struct FaultHealth {
     pub clock_regressions: u64,
 }
 
+/// Key of an empty out-of-queue source: sorts after every real key.
+const NO_KEY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+/// Source index of the accelerator delivery line (burst slots follow,
+/// one per DP service, then one arrival slot per generator).
+const SRC_DELIVERY: usize = 0;
+
+/// `(time, seq)` keys of the packet-path sources kept outside the event
+/// queue, with the index of the smallest cached. Keys are unique (each
+/// carries a sequence number reserved from the queue), so the minimum
+/// is unambiguous; it is rescanned only when the current minimum's key
+/// grows — every other change is one comparison.
+struct SourceKeys {
+    keys: Vec<(SimTime, u64)>,
+    min: usize,
+}
+
+impl SourceKeys {
+    /// `n` empty sources (at least the delivery line).
+    fn new(n: usize) -> Self {
+        debug_assert!(n > SRC_DELIVERY);
+        SourceKeys {
+            keys: vec![NO_KEY; n],
+            min: 0,
+        }
+    }
+
+    /// Adds a source keyed `key`; returns its index.
+    fn push(&mut self, key: (SimTime, u64)) -> usize {
+        self.keys.push(NO_KEY);
+        let i = self.keys.len() - 1;
+        self.set(i, key);
+        i
+    }
+
+    #[inline]
+    fn min(&self) -> (SimTime, u64) {
+        self.keys[self.min]
+    }
+
+    #[inline]
+    fn min_source(&self) -> usize {
+        self.min
+    }
+
+    #[inline]
+    fn set(&mut self, i: usize, key: (SimTime, u64)) {
+        let old = std::mem::replace(&mut self.keys[i], key);
+        if key < self.keys[self.min] {
+            self.min = i;
+        } else if i == self.min && key > old {
+            self.rescan();
+        }
+    }
+
+    fn rescan(&mut self) {
+        let mut min = 0;
+        for (i, k) in self.keys.iter().enumerate().skip(1) {
+            if *k < self.keys[min] {
+                min = i;
+            }
+        }
+        self.min = min;
+    }
+}
+
 /// The full-system simulator.
 pub struct Machine {
     cfg: MachineConfig,
     mode: Mode,
     now: SimTime,
     queue: EventQueue<Event>,
+    /// Lower bound on the queue's earliest pending time: lowered by
+    /// every schedule, raised to the front a limited drain reports.
+    /// Sources due strictly before it dispatch without a queue access.
+    queue_front: SimTime,
+    /// Packets in the accelerator pipeline, due at shared-memory
+    /// delivery.
+    deliveries: DelayLine<Packet>,
+    /// Keys of the out-of-queue sources: the delivery line's front, one
+    /// burst-done slot per DP service, one arrival slot per generator.
+    sources: SourceKeys,
     rng: Rng,
     bootstrapped: bool,
 
@@ -226,7 +296,8 @@ pub struct Machine {
     /// alone — so the offered load is bit-identical across modes and
     /// unaffected by how the run consumes the machine RNG.
     gen_rngs: Vec<Rng>,
-    pending_packet: Vec<Option<Packet>>,
+    /// Each generator's next packet, due at its arrival-slot key.
+    pending_packet: Vec<Packet>,
 
     /// Per-CPU decision-timer generation, indexed by `CpuId::index()`
     /// (dense — the hot loop must not hash).
@@ -285,9 +356,10 @@ pub struct Machine {
     batches: Vec<Vec<ThreadId>>,
 
     /// Reusable same-timestamp batch buffer for [`Machine::run_until`]:
-    /// one queue access drains a whole burst, and the buffer keeps its
-    /// capacity across batches so the steady-state loop never allocates.
-    event_batch: Vec<Event>,
+    /// one queue access drains a whole burst as `(seq, event)` pairs,
+    /// and the buffer keeps its capacity across batches so the
+    /// steady-state loop never allocates.
+    event_batch: Vec<(u64, Event)>,
     /// O(1) `CpuId` → DP-service index, dense by `CpuId::index()`
     /// (`None` for non-DP CPUs). Replaces a linear scan that ran
     /// several times per packet event.
@@ -492,6 +564,7 @@ impl Machine {
         }
 
         let n_v = vcpu_ids.len();
+        let sources = SourceKeys::new(1 + services.len());
         let skip = cfg.skip.unwrap_or_else(SkipMode::from_env).is_on();
         let uses_vcpus = policy.uses_vcpus();
         Machine {
@@ -552,6 +625,9 @@ impl Machine {
             health: FaultHealth::default(),
             probe_starve: vec![0; num_cpus as usize],
             now: SimTime::ZERO,
+            queue_front: SimTime::MAX,
+            deliveries: DelayLine::with_capacity(cfg.footprint.delivery_line_capacity()),
+            sources,
             queue: {
                 let mut q = EventQueue::with_backend_and_slots(
                     QueueBackend::from_env(),
@@ -603,8 +679,10 @@ impl Machine {
         let at = first.submitted_at.max(self.now);
         self.generators.push(generator);
         self.gen_rngs.push(rng);
-        self.pending_packet.push(Some(first));
-        self.queue.schedule(at, Event::NextArrival { gen: idx });
+        self.pending_packet.push(first);
+        let seq = self.queue.reserve_seq();
+        let src = self.sources.push((at, seq));
+        debug_assert_eq!(src, self.src_arrival(idx));
     }
 
     /// Injects one cross-NIC rx packet arriving at `at` (clamped to
@@ -644,7 +722,7 @@ impl Machine {
         self.injected_rx += 1;
         let at = at.max(self.now);
         let packet = Packet::new(id, kind, size_bytes, dest_cpu, 0, at).with_tenant(tenant);
-        self.queue.schedule(at, Event::RxInject { packet });
+        self.schedule(at, Event::RxInject { packet });
         id
     }
 
@@ -679,14 +757,16 @@ impl Machine {
 
     /// Releases memory retained past each subsystem's current working
     /// set: the event queue's storm-peak slab/overflow storage, the
-    /// skipped-deadline heap's spare capacity, every DP rx ring's
-    /// backing store, and the tenant staging rings. Bounded work,
+    /// accelerator delivery line, the skipped-deadline heap's spare
+    /// capacity, every DP rx ring's backing store, and the tenant
+    /// staging rings. Bounded work,
     /// observably inert — the simulated schedule, stats, and traces
     /// are byte-identical with or without the call — so fleet drivers
     /// invoke it after storm recovery to keep resident memory flat
     /// across repeated storms.
     pub fn compact(&mut self) {
         self.queue.compact();
+        self.deliveries.compact();
         self.skipped_deadlines.shrink_to_fit();
         for s in &mut self.services {
             s.compact();
@@ -695,8 +775,9 @@ impl Machine {
     }
 
     /// Memory high-water marks for fleet footprint accounting: the
-    /// event slab's peak slot count and the deepest rx-ring occupancy
-    /// across DP services and tenant staging rings. Both survive
+    /// event slab's peak slot count and the deepest packet backlog —
+    /// rx-ring occupancy across DP services and tenant staging rings,
+    /// and packets in the accelerator delivery line. Both survive
     /// [`Machine::compact`].
     pub fn memory_high_watermarks(&self) -> (usize, usize) {
         let ring = self
@@ -705,16 +786,19 @@ impl Machine {
             .map(|s| s.ring_high_watermark())
             .max()
             .unwrap_or(0)
-            .max(self.accel.staged_high_watermark());
+            .max(self.accel.staged_high_watermark())
+            .max(self.deliveries.high_watermark());
         (self.queue.slab_high_watermark(), ring)
     }
 
     /// Approximate resident bytes of the machine's variable-size
-    /// structures (event queue storage, rx-ring backing stores, tenant
-    /// staging rings). Fixed-size machine state is excluded; the
-    /// counting allocator gives the authoritative total.
+    /// structures (event queue storage, the delivery line, rx-ring
+    /// backing stores, tenant staging rings). Fixed-size machine state
+    /// is excluded; the counting allocator gives the authoritative
+    /// total.
     pub fn resident_bytes(&self) -> usize {
         self.queue.resident_bytes()
+            + self.deliveries.resident_bytes()
             + self
                 .services
                 .iter()
@@ -736,8 +820,7 @@ impl Machine {
     pub fn schedule_cp_batch(&mut self, programs: Vec<Program>, at: SimTime) -> usize {
         let batch = self.batches.len();
         self.batches.push(Vec::new());
-        self.queue
-            .schedule(at.max(self.now), Event::SpawnBatch { programs, batch });
+        self.schedule(at.max(self.now), Event::SpawnBatch { programs, batch });
         batch
     }
 
@@ -751,14 +834,13 @@ impl Machine {
     pub fn schedule_vm_create(&mut self, request: VmCreateRequest, factory: &TaskFactory) {
         let programs = request.device_programs(factory, &mut self.rng);
         let at = request.issued_at.max(self.now);
-        self.queue
-            .schedule(at, Event::VmCreate { request, programs });
+        self.schedule(at, Event::VmCreate { request, programs });
     }
 
     /// Enables periodic DP utilization sampling (for the Fig. 3 CDF).
     pub fn enable_util_sampling(&mut self, interval: SimDuration) {
         self.util_interval = Some(interval);
-        self.queue.schedule(self.now + interval, Event::UtilSample);
+        self.schedule(self.now + interval, Event::UtilSample);
     }
 
     /// Applies the type-2 program transformation (guest taxes + IPC→RPC
@@ -795,24 +877,59 @@ impl Machine {
 
     /// Runs the machine until simulated time `t`.
     ///
-    /// Events are drained in same-timestamp batches: one queue access
-    /// per burst instead of a peek + pop per event. Handlers scheduling
-    /// *at the current instant* still fire in global `(time, seq)`
-    /// order — their entries carry later sequence numbers than the
-    /// whole drained batch, so the next drain picks them up in exactly
-    /// the order a per-event loop would have produced. Batch-draining
-    /// stays sound with the skip layer cancelling superseded timers:
-    /// drained entries' tokens are generation-stale, so a cancel aimed
-    /// at an event already in the current batch records nothing and the
-    /// event still dispatches as the stale-generation no-op it would
-    /// have been anyway.
+    /// Two kinds of event source feed the loop: the global
+    /// [`EventQueue`], and the packet path's out-of-queue sources — the
+    /// accelerator delivery line, one burst-done slot per DP service
+    /// and one arrival slot per generator. Every out-of-queue event
+    /// carries a sequence number reserved from the queue at the point
+    /// where it used to be scheduled, so merging the two by
+    /// `(time, seq)` reproduces the single-queue dispatch order exactly.
+    ///
+    /// Dispatch proceeds in rounds, one per batch the single queue used
+    /// to drain: a round at time `at` covers every event due at `at`
+    /// that exists when the round starts (sequence number below the
+    /// queue's `next_seq` at that moment). Queue events of the round
+    /// are drained in one access; handlers scheduling *at the current
+    /// instant* get later sequence numbers and fall to the next round.
+    /// Batch-draining stays sound with the skip layer cancelling
+    /// superseded timers: drained entries' tokens are generation-stale,
+    /// so a cancel aimed at an event already in the current round
+    /// records nothing and the event still dispatches as the
+    /// stale-generation no-op it would have been anyway.
+    ///
+    /// A round whose time lies strictly before the queue-front lower
+    /// bound needs no queue access at all — the common case on the
+    /// packet path.
     pub fn run_until(&mut self, t: SimTime) {
         self.bootstrap();
         let mut batch = std::mem::take(&mut self.event_batch);
         loop {
             debug_assert!(batch.is_empty());
-            let Some(at) = self.queue.drain_next_batch(t, &mut batch) else {
-                break;
+            let (ext_at, _) = self.sources.min();
+            let at = if ext_at < self.queue_front {
+                debug_assert!(
+                    !matches!(self.queue.peek_time(), Some(q) if q < self.queue_front),
+                    "every queue insert must go through Machine::schedule"
+                );
+                if ext_at > t {
+                    break;
+                }
+                ext_at
+            } else {
+                match self.queue.drain_next_batch(ext_at.min(t), &mut batch) {
+                    Ok(at) => {
+                        self.queue_front = at;
+                        at
+                    }
+                    Err(front) => {
+                        self.queue_front = front;
+                        // `ext_at == MAX`: no source pending either.
+                        if ext_at > t || ext_at == SimTime::MAX {
+                            break;
+                        }
+                        ext_at
+                    }
+                }
             };
             if at < self.now {
                 // The queue contract forbids this; count instead of
@@ -822,20 +939,73 @@ impl Machine {
             }
             self.now = at;
             // Fold matured skip-layer deadlines as the clock advances:
-            // draining here (one peek per batch) keeps the ledger
+            // draining here (one peek per round) keeps the ledger
             // bounded by the timers still pending, not by run length.
             self.settle_skipped();
             if let Some(tr) = &self.tracer {
                 tr.set_time(at);
             }
-            for ev in batch.drain(..) {
+            let round_end = self.queue.next_seq();
+            for (seq, ev) in batch.drain(..) {
+                self.dispatch_sources_before(at, seq);
                 self.events_dispatched += 1;
                 self.handle(ev);
             }
+            self.dispatch_sources_before(at, round_end);
         }
         self.event_batch = batch; // keep the capacity for the next call
         self.now = t.max(self.now);
         self.settle_skipped();
+    }
+
+    /// Schedules a queue event, keeping the queue-front bound valid.
+    fn schedule(&mut self, at: SimTime, ev: Event) -> EventToken {
+        self.queue_front = self.queue_front.min(at);
+        self.queue.schedule(at, ev)
+    }
+
+    /// Source index of DP service `si`'s burst-done slot.
+    #[inline]
+    fn src_burst(si: usize) -> usize {
+        1 + si
+    }
+
+    /// Source index of generator `gen`'s arrival slot.
+    #[inline]
+    fn src_arrival(&self, gen: usize) -> usize {
+        1 + self.services.len() + gen
+    }
+
+    /// Dispatches, in key order, every out-of-queue event keyed
+    /// `(at, s)` with `s < seq`. Sources created meanwhile key with
+    /// later sequence numbers, so they wait for a later round.
+    #[inline]
+    fn dispatch_sources_before(&mut self, at: SimTime, seq: u64) {
+        loop {
+            let (src_at, src_seq) = self.sources.min();
+            if src_at != at || src_seq >= seq {
+                return;
+            }
+            self.events_dispatched += 1;
+            self.dispatch_source();
+        }
+    }
+
+    /// Dispatches the out-of-queue event with the smallest key.
+    fn dispatch_source(&mut self) {
+        let src = self.sources.min_source();
+        if src == SRC_DELIVERY {
+            let (_, _, packet) = self.deliveries.pop_front().expect("keyed line");
+            let key = self.deliveries.front_key().unwrap_or(NO_KEY);
+            self.sources.set(SRC_DELIVERY, key);
+            self.on_delivered(packet);
+        } else if src <= self.services.len() {
+            self.sources.set(src, NO_KEY);
+            self.on_burst_done(src - 1);
+        } else {
+            self.on_next_arrival(src - 1 - self.services.len());
+        }
+        self.fill_if_dirty();
     }
 
     fn bootstrap(&mut self) {
@@ -846,7 +1016,7 @@ impl Machine {
         if let Some(f) = &self.fault {
             let period = f.plan().storm_period;
             if !period.is_zero() {
-                self.queue.schedule(self.now + period, Event::FaultStorm);
+                self.schedule(self.now + period, Event::FaultStorm);
             }
         }
         for cpu in self.kernel.known_cpus() {
@@ -889,9 +1059,6 @@ impl Machine {
 
     fn handle(&mut self, ev: Event) {
         match ev {
-            Event::NextArrival { gen } => self.on_next_arrival(gen),
-            Event::Delivered { packet } => self.on_delivered(packet),
-            Event::DpBurstDone { si } => self.on_burst_done(si),
             Event::ProbeIrq { host } => self.on_probe_irq(host),
             Event::DpIdle { host, gen } => self.on_dp_idle(host, gen),
             Event::VcpuEntered { idx } => self.on_vcpu_entered(idx),
@@ -916,7 +1083,7 @@ impl Machine {
                     self.util_samples.push(s.sample_utilization(now));
                 }
                 if let Some(iv) = self.util_interval {
-                    self.queue.schedule(self.now + iv, Event::UtilSample);
+                    self.schedule(self.now + iv, Event::UtilSample);
                 }
             }
             Event::IpiRetry {
@@ -929,9 +1096,14 @@ impl Machine {
             Event::ArbiterIssue => self.on_arbiter_issue(),
             Event::RxInject { packet } => self.ingest_packet(packet),
         }
-        // Only kernel mutations and vCPU exits can free a CP host or
-        // make a vCPU runnable, and all of them set the dirty flag —
-        // pure packet events skip the scan entirely.
+        self.fill_if_dirty();
+    }
+
+    /// Only kernel mutations and vCPU exits can free a CP host or make
+    /// a vCPU runnable, and all of them set the dirty flag — pure
+    /// packet events skip the scan entirely.
+    #[inline]
+    fn fill_if_dirty(&mut self) {
         if self.cp_fill_dirty {
             self.cp_fill_dirty = false;
             self.fill_idle_cp_hosts();
@@ -969,13 +1141,12 @@ impl Machine {
     // ---------------------------------------------------------------
 
     fn on_next_arrival(&mut self, gen: usize) {
-        let packet = self.pending_packet[gen]
-            .take()
-            .expect("NextArrival implies a pending packet");
         let next = self.generators[gen].next_packet(&mut self.gen_rngs[gen]);
         let at = next.submitted_at.max(self.now);
-        self.pending_packet[gen] = Some(next);
-        self.queue.schedule(at, Event::NextArrival { gen });
+        let packet = std::mem::replace(&mut self.pending_packet[gen], next);
+        let seq = self.queue.reserve_seq();
+        let src = self.src_arrival(gen);
+        self.sources.set(src, (at, seq));
         self.ingest_packet(packet);
     }
 
@@ -1003,9 +1174,12 @@ impl Machine {
         self.schedule_pipeline(packet, out);
     }
 
-    /// Schedules the probe IRQ and shared-memory delivery for a packet
-    /// the accelerator just ingested (shared by the direct single-tenant
-    /// path and the arbiter issue path).
+    /// Schedules the probe IRQ and queues the shared-memory delivery
+    /// for a packet the accelerator just ingested (shared by the direct
+    /// single-tenant path and the arbiter issue path). Deliveries on
+    /// one channel leave in FIFO order, but stalls and channel
+    /// interleaving can put a delivery ahead of the line's tail — the
+    /// line sorts it into place, so the order is exact either way.
     fn schedule_pipeline(&mut self, packet: Packet, out: taichi_hw::accel::PipelineOutput) {
         if let Some(cpu) = out.probe_irq {
             // A probe IRQ lost in the fabric is survivable: the probe
@@ -1014,12 +1188,14 @@ impl Machine {
             // latency at the pipeline transfer time.
             if let Some(lat) = self.apic.irq_latency(cpu) {
                 let irq_arrives = out.irq_at + lat;
-                self.queue
-                    .schedule(irq_arrives.max(self.now), Event::ProbeIrq { host: cpu });
+                self.schedule(irq_arrives.max(self.now), Event::ProbeIrq { host: cpu });
             }
         }
-        self.queue
-            .schedule(out.delivered_at.max(self.now), Event::Delivered { packet });
+        let seq = self.queue.reserve_seq();
+        self.deliveries
+            .push(out.delivered_at.max(self.now), seq, packet);
+        let key = self.deliveries.front_key().expect("just pushed");
+        self.sources.set(SRC_DELIVERY, key);
     }
 
     /// Arms the next [`Event::ArbiterIssue`] if staged packets exist
@@ -1031,7 +1207,7 @@ impl Machine {
         }
         self.arbiter_armed = true;
         let at = self.accel.port_free().max(self.now);
-        self.queue.schedule(at, Event::ArbiterIssue);
+        self.schedule(at, Event::ArbiterIssue);
     }
 
     /// The shared ingest port is free: issue the next staged packet in
@@ -1117,7 +1293,8 @@ impl Machine {
             return;
         };
         self.dp_busy[si] = true;
-        self.queue.schedule(done, Event::DpBurstDone { si });
+        let seq = self.queue.reserve_seq();
+        self.sources.set(Self::src_burst(si), (done, seq));
     }
 
     fn on_burst_done(&mut self, si: usize) {
@@ -1155,7 +1332,7 @@ impl Machine {
             self.skip_stale(old);
         }
         let at = t.max(self.now);
-        let tok = self.queue.schedule(at, Event::DpIdle { host, gen });
+        let tok = self.schedule(at, Event::DpIdle { host, gen });
         if self.skip {
             self.dp_idle_tok[si] = Some((tok, at));
         }
@@ -1276,7 +1453,7 @@ impl Machine {
         }
         let enter_done =
             self.now + self.cfg.taichi.softirq_latency + self.cfg.taichi.costs.vm_enter;
-        self.queue.schedule(enter_done, Event::VcpuEntered { idx });
+        self.schedule(enter_done, Event::VcpuEntered { idx });
     }
 
     fn on_vcpu_entered(&mut self, idx: usize) {
@@ -1306,9 +1483,7 @@ impl Machine {
         }
         self.vcpu_gen[idx] += 1;
         let gen = self.vcpu_gen[idx];
-        let tok = self
-            .queue
-            .schedule(slice_end, Event::VcpuSliceExpire { idx, gen });
+        let tok = self.schedule(slice_end, Event::VcpuSliceExpire { idx, gen });
         if self.skip {
             // Any previous slice timer was already cancelled (or fired)
             // when the prior grant exited; storing unconditionally is
@@ -1351,7 +1526,7 @@ impl Machine {
         // Full switch latency (VM-exit + pCPU context restore): the
         // 2 µs the hardware probe hides inside the I/O window.
         let done = self.now + self.cfg.taichi.costs.switch_latency();
-        self.queue.schedule(done, Event::VcpuExited { idx });
+        self.schedule(done, Event::VcpuExited { idx });
     }
 
     fn on_vcpu_exited(&mut self, idx: usize) {
@@ -1542,7 +1717,7 @@ impl Machine {
                 t += f.timer_jitter(cpu.0);
             }
             let at = t.max(self.now);
-            let tok = self.queue.schedule(at, Event::KernelDecide { cpu, gen });
+            let tok = self.schedule(at, Event::KernelDecide { cpu, gen });
             if self.skip {
                 self.kernel_tok[cpu.index()] = Some((tok, at));
             }
@@ -1596,8 +1771,7 @@ impl Machine {
                             }
                         }
                     }
-                    self.queue
-                        .schedule(at.max(self.now), Event::KernelWake { tid });
+                    self.schedule(at.max(self.now), Event::KernelWake { tid });
                 }
                 KernelAction::ThreadFinished { tid } => self.on_thread_finished(tid),
                 KernelAction::SendIpi { src, dst, vector } => self.route_ipi(src, dst, vector, 0),
@@ -1630,7 +1804,7 @@ impl Machine {
                         let backoff = SimDuration::from_nanos(
                             d.ipi_backoff.as_nanos().saturating_mul(1 << attempt),
                         );
-                        self.queue.schedule(
+                        self.schedule(
                             self.now + backoff,
                             Event::IpiRetry {
                                 src,
@@ -1645,7 +1819,7 @@ impl Machine {
                     return;
                 }
                 IpiFate::Delay(d) if attempt < f.degrade().max_ipi_retries => {
-                    self.queue.schedule(
+                    self.schedule(
                         self.now + d,
                         Event::IpiRetry {
                             src,
@@ -1706,8 +1880,7 @@ impl Machine {
             let aff = self.cp_affinity;
             self.with_kernel(|k, now, out| k.spawn(p, aff, now, out));
         }
-        self.queue
-            .schedule(self.now + plan.storm_period, Event::FaultStorm);
+        self.schedule(self.now + plan.storm_period, Event::FaultStorm);
     }
 
     /// A descheduled vCPU received work: place it immediately if some

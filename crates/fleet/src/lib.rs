@@ -792,12 +792,14 @@ pub struct FleetResult {
     /// this must never enter [`FleetResult::fingerprint`] or any
     /// identity-compared table.
     pub slab_high_watermark: usize,
-    /// Max rx/staging-ring high-water mark (packets) across every
-    /// machine. Diagnostic only, like the slab mark.
+    /// Max packet-backlog high-water mark (packets: rx and staging
+    /// rings, accelerator delivery line) across every machine.
+    /// Diagnostic only, like the slab mark.
     pub ring_high_watermark: usize,
     /// Sum of per-machine resident backing bytes (event slab, wheel
-    /// chunks, rings) sampled at the final epoch boundary. Diagnostic
-    /// only: depends on footprint profile and backend.
+    /// chunks, delivery line, rings) sampled at the final epoch
+    /// boundary. Diagnostic only: depends on footprint profile and
+    /// backend.
     pub resident_bytes: u64,
 }
 
@@ -1068,12 +1070,13 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
     std::thread::scope(|scope| {
         let (delta_tx, delta_rx) = mpsc::channel::<WorkerDelta>();
         let mut cmd_txs = Vec::with_capacity(workers);
+        let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (cmd_tx, cmd_rx) = mpsc::channel::<EpochCmd>();
             cmd_txs.push(cmd_tx);
             let delta_tx = delta_tx.clone();
             let cfg = cfg.clone();
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 // Machines are built *inside* the worker (`Machine` is
                 // deliberately `!Send`); worker `w` owns every index
                 // congruent to `w` mod `workers` and advances them in
@@ -1108,7 +1111,7 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
                         return;
                     }
                 }
-            });
+            }));
         }
         drop(delta_tx);
         // Drained deltas waiting to ride back out on the next command.
@@ -1136,6 +1139,17 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
             acc.close_epoch(cfg, e);
         }
         drop(cmd_txs); // workers exit on channel close
+
+        // Join explicitly: the scope alone only waits for the closures
+        // to return, and a worker thread still exiting can keep its
+        // allocator arena busy, so a back-to-back run's workers would
+        // start on fresh arenas and grow peak RSS by a worker's
+        // machine pool. A join returns once the thread is fully gone.
+        for h in handles {
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     finish(cfg, acc)
 }

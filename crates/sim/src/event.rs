@@ -230,9 +230,28 @@ struct Slot<E> {
     /// Same-deadline fusion members (wheel levels only), in ascending
     /// sequence order. The slot's `seq`/`event` pair is the *front*
     /// member; these are the rest. Empty for singletons, the heap
-    /// backend, and the overflow heap. The Vec's capacity survives
-    /// slot recycling, so steady-state fusion stays allocation-free.
+    /// backend, and the overflow heap. A retiring slot hands its
+    /// member storage to the queue's pool, so fusion on any slot
+    /// reuses it and steady-state fusion stays allocation-free.
     fused: Vec<(u64, E)>,
+}
+
+impl<E> Slot<E> {
+    /// Unlinks the slot and invalidates its outstanding tokens, handing
+    /// any fused-member storage to `pool`. Payload and cancel flag are
+    /// left to the caller.
+    fn retire(&mut self, pool: &mut Vec<Vec<(u64, E)>>) {
+        debug_assert!(
+            self.fused.is_empty(),
+            "fused slots shed members, not retire"
+        );
+        if self.fused.capacity() != 0 {
+            pool.push(std::mem::take(&mut self.fused));
+        }
+        self.generation += 1;
+        self.loc = LOC_NONE;
+        self.next = NIL;
+    }
 }
 
 // --------------------------------------------------------------------
@@ -523,6 +542,12 @@ pub struct EventQueue<E> {
     gen_floor: u64,
     /// Largest slab length ever reached, surviving compaction.
     slab_hwm: usize,
+    /// Spare fused-member storage from retired slots. Which slot hosts
+    /// the next fusion is arbitrary (free-list order), so storage kept
+    /// per slot would be allocated again whenever a fusion lands on a
+    /// slot that never hosted one; pooled, the allocations are bounded
+    /// by the peak number of fused slots alive at once.
+    fused_pool: Vec<Vec<(u64, E)>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -590,6 +615,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             gen_floor: 0,
             slab_hwm: 0,
+            fused_pool: Vec::new(),
         }
     }
 
@@ -604,6 +630,26 @@ impl<E> EventQueue<E> {
     /// The time of the most recently popped event (simulation "now").
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Reserves the next sequence number for an event kept *outside*
+    /// the queue (a delay line or a per-source slot) that a run loop
+    /// merges with the queue by `(time, seq)`. Reserving at the program
+    /// point where the event would otherwise have been scheduled keeps
+    /// its place in the global tie order exactly.
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// The sequence number the next [`EventQueue::schedule`] or
+    /// [`EventQueue::reserve_seq`] will take: every event keyed so far,
+    /// queued or external, sorts below it.
+    #[inline]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
     }
 
     /// Schedules `event` to fire at `time`.
@@ -635,6 +681,11 @@ impl<E> EventQueue<E> {
             };
             if let Some(host) = head.and_then(|h| find_coincident(&self.slots, h, time)) {
                 let s = &mut self.slots[host as usize];
+                if s.fused.capacity() == 0 {
+                    if let Some(spare) = self.fused_pool.pop() {
+                        s.fused = spare;
+                    }
+                }
                 s.fused.push((seq, event));
                 let generation = s.generation;
                 self.live += 1;
@@ -818,29 +869,7 @@ impl<E> EventQueue<E> {
                 return Some((entry.time, event));
             },
             Core::Wheel(_) => {
-                let (time, event) = self.wheel_pop_min(SimTime::MAX)?;
-                self.live -= 1;
-                self.now = time;
-                Some((time, event))
-            }
-        }
-    }
-
-    /// Pops the next event only if it fires at or before `limit`.
-    ///
-    /// The fused peek+pop the driver loop wants: one queue access per
-    /// event instead of a peek followed by a pop.
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        match &mut self.core {
-            Core::Heap(heap) => {
-                // The heap top is always live (sweep invariant).
-                if heap.peek().map(|e| e.time > limit).unwrap_or(true) {
-                    return None;
-                }
-                self.pop()
-            }
-            Core::Wheel(_) => {
-                let (time, event) = self.wheel_pop_min(limit)?;
+                let (time, _, event) = self.wheel_pop_min(SimTime::MAX).ok()?;
                 self.live -= 1;
                 self.now = time;
                 Some((time, event))
@@ -849,15 +878,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains **every** event at the earliest pending timestamp (if
-    /// that timestamp is `<= limit`) into `out`, returning the
-    /// timestamp and advancing `now` to it. Events the handlers then
-    /// schedule *at the same instant* are deliberately not included:
-    /// they carry later sequence numbers, so they fire on the next call
-    /// — exactly the order a peek/pop loop would produce.
+    /// that timestamp is `<= limit`) into `out` as `(seq, event)` pairs
+    /// in sequence order, returning `Ok(timestamp)` and advancing `now`
+    /// to it. Events the handlers then schedule *at the same instant*
+    /// are deliberately not included: they carry later sequence
+    /// numbers, so they fire on the next call — exactly the order a
+    /// peek/pop loop would produce. The sequence numbers let a run loop
+    /// interleave the batch with events kept outside the queue (see
+    /// [`EventQueue::reserve_seq`]).
     ///
-    /// This is the batch form of [`EventQueue::pop_at_or_before`]: on
-    /// the wheel backend a same-timestamp burst costs one bucket scan
-    /// total instead of one per event.
+    /// When nothing is due by `limit`, returns `Err(front)`: the
+    /// earliest pending time the drain saw ([`SimTime::MAX`] when the
+    /// queue is empty). Until the next `schedule`, no event fires
+    /// before `front`, so a caller can keep it as a lower bound and
+    /// skip the queue for anything earlier.
+    ///
+    /// On the wheel backend a same-timestamp burst costs one bucket
+    /// scan total instead of one per event.
     ///
     /// Entries appended to `out` leave the queue at drain time, so
     /// their tokens go stale immediately: a handler that cancels a
@@ -866,32 +903,41 @@ impl<E> EventQueue<E> {
     /// a recorded-nothing no-op), and the event still dispatches this
     /// batch. The machine driver's skip layer relies on exactly that
     /// contract when it cancels superseded timers.
-    pub fn drain_next_batch(&mut self, limit: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+    pub fn drain_next_batch(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<(u64, E)>,
+    ) -> Result<SimTime, SimTime> {
         match &mut self.core {
-            Core::Heap(_) => {
-                let (at, ev) = self.pop_at_or_before(limit)?;
-                out.push(ev);
+            Core::Heap(heap) => {
+                // The heap top is always live (sweep invariant), and
+                // same-time entries pop in seq order.
+                let at = match heap.peek() {
+                    None => return Err(SimTime::MAX),
+                    Some(top) if top.time > limit => return Err(top.time),
+                    Some(top) => top.time,
+                };
+                self.now = at;
                 loop {
                     let Core::Heap(heap) = &mut self.core else {
                         unreachable!()
                     };
-                    // Top is live; same-time entries pop in seq order.
                     if heap.peek().map(|e| e.time != at).unwrap_or(true) {
                         break;
                     }
                     let entry = heap.pop().expect("peeked non-empty");
                     let (_, event) = self.retire_queued(entry.slot);
                     self.live -= 1;
-                    out.push(event.expect("live slot owns its payload"));
+                    out.push((entry.seq, event.expect("live slot owns its payload")));
                     self.sweep_heap_top();
                 }
-                Some(at)
+                Ok(at)
             }
             Core::Wheel(_) => {
-                let (at, event) = self.wheel_pop_min(limit)?;
+                let (at, seq, event) = self.wheel_pop_min(limit)?;
                 self.live -= 1;
                 self.now = at;
-                out.push(event);
+                out.push((seq, event));
                 // Same-timestamp events necessarily share the level-0
                 // bucket: drain them without rescanning the bitmap.
                 // While the bucket minimum still fires at `at`, it is
@@ -912,9 +958,9 @@ impl<E> EventQueue<E> {
                     if self.slots[min as usize].time != at {
                         break;
                     }
-                    let event = self.wheel_take_l0(b, prev, min);
+                    let entry = self.wheel_take_l0(b, prev, min);
                     self.live -= 1;
-                    out.push(event);
+                    out.push(entry);
                 }
                 // Same front-is-live repair as `wheel_pop_min`: the
                 // batch may have drained the last level entries.
@@ -924,7 +970,7 @@ impl<E> EventQueue<E> {
                 if wheel.l0_count == 0 && wheel.l1_count == 0 {
                     self.sweep_overflow_top();
                 }
-                Some(at)
+                Ok(at)
             }
         }
     }
@@ -971,14 +1017,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Wheel backend: removes and returns `(time, event)` of the
+    /// Wheel backend: removes and returns `(time, seq, event)` of the
     /// minimum entry if its time is `<= limit`, advancing the level-0
     /// window (draining level-1 buckets, promoting overflow entries)
     /// as needed. Advancing only happens when the result is actually
-    /// popped — a `None` return leaves the window untouched, so `now`
-    /// can never fall behind the level-0 coverage. Does not touch
+    /// popped — an `Err` return leaves the window untouched, so `now`
+    /// can never fall behind the level-0 coverage. `Err` carries the
+    /// minimum time seen ([`SimTime::MAX`] when empty). Does not touch
     /// `self.live`; callers account for the removed event.
-    fn wheel_pop_min(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+    fn wheel_pop_min(&mut self, limit: SimTime) -> Result<(SimTime, u64, E), SimTime> {
         loop {
             let Core::Wheel(wheel) = &mut self.core else {
                 unreachable!("wheel_pop_min on heap backend")
@@ -989,9 +1036,9 @@ impl<E> EventQueue<E> {
                 let (prev, min) = list_min(&self.slots, wheel.l0_head.get(b));
                 let time = self.slots[min as usize].time;
                 if time > limit {
-                    return None;
+                    return Err(time);
                 }
-                let event = self.wheel_take_l0(b, prev, min);
+                let (seq, event) = self.wheel_take_l0(b, prev, min);
                 let Core::Wheel(wheel) = &self.core else {
                     unreachable!()
                 };
@@ -1001,7 +1048,7 @@ impl<E> EventQueue<E> {
                     // discard any cancelled run sitting on it.
                     self.sweep_overflow_top();
                 }
-                return Some((time, event));
+                return Ok((time, seq, event));
             }
             if wheel.l1_count > 0 {
                 // The global minimum lives in the first occupied
@@ -1010,11 +1057,12 @@ impl<E> EventQueue<E> {
                 let cur = Wheel::l1_bucket(wheel.l0_end);
                 let b = find_set_from(&wheel.l1_mask, cur).expect("l1_count > 0");
                 let (_, min) = list_min(&self.slots, wheel.l1_head.get(b));
-                if self.slots[min as usize].time > limit {
+                let time = self.slots[min as usize].time;
+                if time > limit {
                     // Check BEFORE advancing: a limited pop must leave
                     // the window where `now` can still reach it, or a
                     // later schedule could alias into a stale bucket.
-                    return None;
+                    return Err(time);
                 }
                 // Advance the window to the target bucket and
                 // redistribute it into level 0 (ring distance in G1
@@ -1029,9 +1077,11 @@ impl<E> EventQueue<E> {
             let Core::Wheel(wheel) = &mut self.core else {
                 unreachable!()
             };
-            let head = wheel.overflow.peek()?;
+            let Some(head) = wheel.overflow.peek() else {
+                return Err(SimTime::MAX);
+            };
             if head.time > limit {
-                return None;
+                return Err(head.time);
             }
             let t = head.time.as_nanos();
             let new_end = (t >> G1_BITS << G1_BITS) + G1;
@@ -1043,16 +1093,19 @@ impl<E> EventQueue<E> {
     /// `b`, list predecessor `prev`): a fused slot sheds one member and
     /// stays linked, re-keyed to its next member's sequence number; a
     /// singleton is unlinked from the bucket and its slab slot retired.
-    /// Returns the removed event. `self.live` is the caller's job.
-    fn wheel_take_l0(&mut self, b: usize, prev: u32, slot: u32) -> E {
+    /// Returns the removed `(seq, event)`. `self.live` is the caller's
+    /// job.
+    fn wheel_take_l0(&mut self, b: usize, prev: u32, slot: u32) -> (u64, E) {
         let s = &mut self.slots[slot as usize];
+        let front_seq = s.seq;
         if !s.fused.is_empty() {
             let (seq, next_ev) = s.fused.remove(0);
             s.seq = seq;
-            return s
+            let event = s
                 .event
                 .replace(next_ev)
                 .expect("fused front member owns a payload");
+            return (front_seq, event);
         }
         let Core::Wheel(wheel) = &mut self.core else {
             unreachable!()
@@ -1063,7 +1116,10 @@ impl<E> EventQueue<E> {
         }
         wheel.l0_count -= 1;
         let (_, event) = self.retire_queued(slot);
-        event.expect("wheel entries are never cancelled in place")
+        (
+            front_seq,
+            event.expect("wheel entries are never cancelled in place"),
+        )
     }
 
     /// Moves the level-0 window forward so that its exclusive end is
@@ -1147,9 +1203,7 @@ impl<E> EventQueue<E> {
                     // borrow from `self.core` stays disjoint).
                     self.cancelled -= 1;
                     let s = &mut self.slots[slot as usize];
-                    s.generation += 1;
-                    s.loc = LOC_NONE;
-                    s.next = NIL;
+                    s.retire(&mut self.fused_pool);
                     s.cancelled = false;
                     s.event = None;
                     self.free.push(slot);
@@ -1169,10 +1223,7 @@ impl<E> EventQueue<E> {
     /// payload the slot owned.
     fn retire_queued(&mut self, slot: u32) -> (bool, Option<E>) {
         let s = &mut self.slots[slot as usize];
-        debug_assert!(s.fused.is_empty(), "fused slots shed members, not retire");
-        s.generation += 1;
-        s.loc = LOC_NONE;
-        s.next = NIL;
+        s.retire(&mut self.fused_pool);
         let event = s.event.take();
         let was_cancelled = std::mem::replace(&mut s.cancelled, false);
         if was_cancelled {
@@ -1186,10 +1237,7 @@ impl<E> EventQueue<E> {
     /// wheel cancellation: the entry is already out of the structure).
     fn retire_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
-        debug_assert!(s.fused.is_empty(), "fused slots shed members, not retire");
-        s.generation += 1;
-        s.loc = LOC_NONE;
-        s.next = NIL;
+        s.retire(&mut self.fused_pool);
         s.cancelled = false;
         s.event = None;
         self.free.push(slot);
@@ -1274,6 +1322,7 @@ impl<E> EventQueue<E> {
         }
         self.slots.shrink_to_fit();
         self.free.shrink_to_fit();
+        self.fused_pool = Vec::new();
     }
 
     /// Largest slab length ever reached (slots, not bytes), surviving
@@ -1614,44 +1663,71 @@ mod tests {
             q.schedule(t1, 2);
             q.schedule(t1, 3);
             let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t1));
-            assert_eq!(out, vec![1, 2, 3], "{be:?}");
+            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t1));
+            assert_eq!(out, vec![(0, 1), (2, 2), (3, 3)], "{be:?}");
             assert_eq!(q.now(), t1);
             out.clear();
-            assert_eq!(q.drain_next_batch(SimTime::from_nanos(150), &mut out), None);
-            assert!(out.is_empty());
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t2));
-            assert_eq!(out, vec![10]);
-            assert!(q.is_empty());
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), None);
-        }
-    }
-
-    #[test]
-    fn pop_at_or_before_respects_limit() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(500), 5);
-            assert!(q.pop_at_or_before(SimTime::from_nanos(400)).is_none());
-            assert_eq!(q.len(), 1, "{be:?}: limited pop must not consume");
+            // A limited drain that finds nothing reports the front.
             assert_eq!(
-                q.pop_at_or_before(SimTime::from_nanos(500)).map(|(_, e)| e),
-                Some(5)
+                q.drain_next_batch(SimTime::from_nanos(150), &mut out),
+                Err(t2)
+            );
+            assert!(out.is_empty());
+            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t2));
+            assert_eq!(out, vec![(1, 10)]);
+            assert!(q.is_empty());
+            assert_eq!(
+                q.drain_next_batch(SimTime::MAX, &mut out),
+                Err(SimTime::MAX)
             );
         }
     }
 
     #[test]
-    fn limited_pop_does_not_strand_the_window() {
-        // A limited pop that answers None (next event beyond the
-        // limit, parked in level 1 / overflow) must leave the wheel
+    fn reserved_seqs_interleave_with_scheduled_ones() {
+        for be in BACKENDS {
+            let mut q = EventQueue::with_backend(be);
+            let t = SimTime::from_nanos(100);
+            q.schedule(t, 'a');
+            let external = q.reserve_seq();
+            q.schedule(t, 'b');
+            assert_eq!(q.next_seq(), 3);
+            let mut out = Vec::new();
+            assert_eq!(q.drain_next_batch(t, &mut out), Ok(t));
+            // The reserved number sits between the two queued events.
+            assert_eq!(out, vec![(0, 'a'), (2, 'b')], "{be:?}");
+            assert_eq!(external, 1);
+        }
+    }
+
+    #[test]
+    fn limited_drain_respects_limit() {
+        for be in BACKENDS {
+            let mut q = EventQueue::with_backend(be);
+            q.schedule(SimTime::from_nanos(500), 5);
+            let mut out = Vec::new();
+            let early = q.drain_next_batch(SimTime::from_nanos(400), &mut out);
+            assert_eq!(early, Err(SimTime::from_nanos(500)), "{be:?}");
+            assert_eq!(q.len(), 1, "{be:?}: limited drain must not consume");
+            let due = q.drain_next_batch(SimTime::from_nanos(500), &mut out);
+            assert_eq!(due, Ok(SimTime::from_nanos(500)));
+            assert_eq!(out, vec![(0, 5)]);
+        }
+    }
+
+    #[test]
+    fn limited_drain_does_not_strand_the_window() {
+        // A limited drain that finds nothing due (next event beyond
+        // the limit, parked in level 1 / overflow) must leave the wheel
         // able to accept schedules near `now` without aliasing.
         let mut q = EventQueue::with_backend(QueueBackend::Wheel);
         q.schedule(SimTime::from_nanos(100), 1u32);
         assert_eq!(q.pop().map(|(_, e)| e), Some(1));
         q.schedule(SimTime::from_millis(25), 2); // level 1
         q.schedule(SimTime::from_secs(1), 3); // overflow
-        assert!(q.pop_at_or_before(SimTime::from_millis(20)).is_none());
+        let mut out = Vec::new();
+        let early = q.drain_next_batch(SimTime::from_millis(20), &mut out);
+        assert_eq!(early, Err(SimTime::from_millis(25)));
         // Schedule close to now: must pop before the far ones.
         q.schedule(SimTime::from_millis(15), 4);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
@@ -1722,8 +1798,8 @@ mod tests {
             q.schedule(t, 1); // fuses with 0 on the wheel
             q.schedule(t, 2);
             let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Some(t));
-            assert_eq!(out, vec![0, 1, 2], "{be:?}");
+            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t));
+            assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)], "{be:?}");
             assert!(q.is_empty());
         }
     }

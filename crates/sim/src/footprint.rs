@@ -19,6 +19,11 @@
 use crate::env::env_parse_or_warn;
 use crate::event::INITIAL_SLOTS;
 
+/// Hot delivery-line reservation, in packets. The bench workloads
+/// peak at a few tens of packets in flight; this leaves headroom
+/// without paying for a worst-case line.
+const DELIVERY_LINE_HOT: usize = 64;
+
 /// How aggressively one simulated machine pre-reserves memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FootprintProfile {
@@ -61,6 +66,16 @@ impl FootprintProfile {
         match self {
             FootprintProfile::Hot => 1024,
             FootprintProfile::Fleet => 16,
+        }
+    }
+
+    /// Initial accelerator delivery-line reservation (packets in the
+    /// 3.2 µs pipeline window). Hot: the bench machine's measured peak
+    /// with headroom; Fleet: empty, grown on first use.
+    pub fn delivery_line_capacity(self) -> usize {
+        match self {
+            FootprintProfile::Hot => DELIVERY_LINE_HOT,
+            FootprintProfile::Fleet => 0,
         }
     }
 

@@ -9,6 +9,9 @@
 //! - [`event`]: a deterministic event queue with FIFO tie-breaking and
 //!   cancellation tokens, backed by a hierarchical timing wheel (or a
 //!   binary heap, selectable via `TAICHI_QUEUE`).
+//! - [`delay_line`]: `(time, seq)`-sorted pending items kept outside
+//!   the event queue (fixed-latency pipelines), merged with it by the
+//!   run loop.
 //! - [`inline_vec`]: an allocation-free small vector for hot-path
 //!   scratch storage.
 //! - [`alloc`]: a counting global-allocator wrapper backing the
@@ -34,6 +37,7 @@
 
 pub mod alloc;
 pub mod check;
+pub mod delay_line;
 pub mod dist;
 pub mod env;
 pub mod event;
@@ -49,6 +53,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use delay_line::DelayLine;
 pub use dist::{Dist, PreparedDist};
 pub use event::{EventQueue, EventToken, QueueBackend};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};

@@ -575,6 +575,14 @@ fn wheel_and_heap_pop_identical_sequences() {
                 let ht = heap.drain_next_batch(limit, &mut heap_batch);
                 assert_eq!(wt, ht, "batch timestamp diverged at step {step}");
                 assert_eq!(wheel_batch, heap_batch, "batch diverged at step {step}");
+                if let Err(front) = wt {
+                    // A drain that finds nothing due reports the front.
+                    assert_eq!(
+                        front,
+                        heap.peek_time().unwrap_or(SimTime::MAX),
+                        "reported front diverged at step {step}"
+                    );
+                }
                 pops += wheel_batch.len();
             }
             _ => {
