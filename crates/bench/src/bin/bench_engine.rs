@@ -1,16 +1,15 @@
 //! Simulation-engine throughput benchmark: events/sec and ns/event
-//! for the engine primitives and for full-machine runs, on both queue
-//! backends.
+//! for the engine primitives and for full-machine runs.
 //!
 //! This binary maintains the repo's committed perf trajectory,
 //! `BENCH_engine.json` at the **repository root**:
 //!
-//! - the `"baseline"` block is the frozen before-numbers (the heap
-//!   backend, i.e. the pre-timing-wheel engine) and is **preserved
-//!   verbatim** when the file already exists, so the trajectory
-//!   survives re-runs;
-//! - the `"current"` block is rewritten on every run with fresh wheel
-//!   and heap measurements plus the resulting speedups.
+//! - the `"baseline"` block is the frozen before-numbers (the
+//!   pre-timing-wheel engine) and is **preserved verbatim**; a missing
+//!   or unreadable baseline is an error, never silently replaced by
+//!   freshly measured numbers;
+//! - the `"current"` block is rewritten on every run with fresh
+//!   measurements and the TaiChi-mode ratio to the baseline.
 //!
 //! A copy also lands in `target/experiments/` so CI can upload it as an
 //! artifact without touching the working tree.
@@ -18,20 +17,19 @@
 //! Flags:
 //!
 //! - `--quick`: fewer coarse iterations (CI smoke mode);
-//! - `--check`: exit non-zero when the current TaiChi-mode events/s
-//!   falls below 80% of the committed baseline — a generous gate (the
-//!   baseline is the *heap* engine, so the wheel normally clears it
-//!   severalfold) that still catches real regressions without flaking
-//!   on slower CI runners.
+//! - `--check`: exit non-zero when the current TaiChi-mode raw logical
+//!   events/s (`machine_events_per_sec`) falls below 80% of the
+//!   baseline's `events_per_sec`. Both count the same logical events
+//!   of the same fixed workload, so the ratio is a wall-time ratio.
 //!
 //! Event accounting: `events` is the *logical* count (dispatched
-//! handlers plus skip-layer-elided stale timers — invariant across
-//! backends and skip modes), `fast_forwarded` is the empty-poll
-//! iterations the closed-form Fig. 9 ledger elided, and the headline
+//! handlers plus skip-layer-elided stale timers), `fast_forwarded` is
+//! the empty-poll iterations the closed-form Fig. 9 ledger elided, and
 //! `events_per_sec` is effective throughput — `(events +
 //! fast_forwarded) / wall` — i.e. the rate a poll-stepping engine
 //! would need to match this one's simulated coverage.
-//! `machine_events_per_sec` keeps the raw logical rate.
+//! `machine_events_per_sec` is the raw logical rate, the unit the
+//! baseline was recorded in.
 //!
 //! Uses the in-repo timing loops ([`taichi_bench::bench_ns`] /
 //! [`taichi_bench::bench_coarse_ms`]) so the workspace builds offline.
@@ -72,8 +70,7 @@ fn build(mode: Mode) -> Machine {
 #[derive(Clone, Copy)]
 struct MachineStats {
     ms: f64,
-    /// Logical events: dispatched + skip-layer-elided (invariant
-    /// across backends and skip modes).
+    /// Logical events: dispatched + skip-layer-elided.
     events: u64,
     /// Handlers physically dispatched (the wall-clock work).
     dispatched: u64,
@@ -91,7 +88,7 @@ struct MachineStats {
 }
 
 /// Wall-clock per 20 ms of simulated time plus engine events/sec, for
-/// one mode on the backend currently selected by `TAICHI_QUEUE`.
+/// one mode.
 fn machine_stats(mode: Mode, iters: u32) -> MachineStats {
     let ms = bench_coarse_ms(iters, || {
         let mut m = build(mode);
@@ -178,7 +175,7 @@ fn main() {
     let check = args.iter().any(|a| a == "--check");
     let iters: u32 = if quick { 3 } else { 10 };
 
-    // ---- Primitive micro-benches (default = wheel backend). ----
+    // ---- Primitive micro-benches. ----
 
     // Event-queue fast path: steady-state schedule+pop (the slab and
     // free list reach a fixed point, so this is allocation-free).
@@ -228,65 +225,58 @@ fn main() {
     });
     println!("kernel_decide_rotate            {decide_rotate:>12.1} ns/iter");
 
-    // ---- Full-machine throughput, wheel vs. heap. ----
+    // ---- Full-machine throughput. ----
 
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::Type2];
-    std::env::set_var("TAICHI_QUEUE", "wheel");
-    let wheel: Vec<MachineStats> = modes.iter().map(|&m| machine_stats(m, iters)).collect();
-    std::env::set_var("TAICHI_QUEUE", "heap");
-    let heap: Vec<MachineStats> = modes.iter().map(|&m| machine_stats(m, iters)).collect();
-    std::env::remove_var("TAICHI_QUEUE");
-
-    for ((mode, w), h) in modes.iter().zip(&wheel).zip(&heap) {
+    let stats: Vec<MachineStats> = modes.iter().map(|&m| machine_stats(m, iters)).collect();
+    for (mode, w) in modes.iter().zip(&stats) {
         println!(
             "simulate_20ms/{mode:<18} {:>9.2} ms/iter  {} events (+{} fast-forwarded)  \
-             {:.0} ns/event  {:.0} events/sec effective  ({:.2}x vs heap {:.0} ev/s)",
+             {:.0} ns/event  {:.0} events/sec effective  {:.0} events/sec raw",
             w.ms,
             w.events,
             w.fast_forwarded,
             w.ns_per_event,
             w.events_per_sec,
-            w.events_per_sec / h.events_per_sec,
-            h.events_per_sec,
+            w.machine_events_per_sec,
         );
     }
 
     // ---- Assemble the trajectory file. ----
 
     let root_path = repo_root().join("BENCH_engine.json");
-    let existing = std::fs::read_to_string(&root_path).unwrap_or_default();
-    let baseline_block = match extract_block(&existing, "\"baseline\"") {
-        Some(b) => b.to_string(),
-        None => {
-            // First run: freeze this machine's heap numbers as the
-            // before-trajectory.
-            let mut b = String::from(
-                "\"baseline\": {\n    \"backend\": \"heap\",\n    \
-                 \"note\": \"pre-timing-wheel engine (binary-heap event queue)\",\n    \
-                 \"modes\": {\n",
-            );
-            for (i, (mode, h)) in modes.iter().zip(&heap).enumerate() {
-                let _ = writeln!(
-                    b,
-                    "      \"{mode}\": {}{}",
-                    mode_json(*h),
-                    if i + 1 == modes.len() { "" } else { "," }
-                );
-            }
-            b.push_str("    }\n  }");
-            b
+    let existing = match std::fs::read_to_string(&root_path) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("error: cannot read {}: {e}", root_path.display());
+            std::process::exit(1);
         }
     };
+    let Some(baseline_block) = extract_block(&existing, "\"baseline\"") else {
+        eprintln!("error: {} has no \"baseline\" block", root_path.display());
+        std::process::exit(1);
+    };
+    // The ratio and the gate pin the TaiChi mode specifically — a
+    // Baseline- or Type2-mode improvement must never mask a
+    // TaiChi-mode regression.
+    let taichi_idx = 1usize;
+    assert!(matches!(modes[taichi_idx], Mode::TaiChi));
+    let taichi_key = modes[taichi_idx].to_string();
+    let Some(base) = events_per_sec_of(baseline_block, &taichi_key) else {
+        eprintln!("error: no TaiChi events_per_sec in the committed baseline");
+        std::process::exit(1);
+    };
+    let cur = stats[taichi_idx].machine_events_per_sec;
+    let ratio = cur / base;
 
-    let mut current =
-        String::from("\"current\": {\n    \"backend\": \"wheel\",\n    \"primitives\": {\n");
+    let mut current = String::from("\"current\": {\n    \"primitives\": {\n");
     let _ = write!(
         current,
         "      \"event_queue_push_pop_ns\": {push_pop:.1},\n      \
          \"event_queue_push_cancel_pop_ns\": {push_cancel_pop:.1},\n      \
          \"kernel_decide_rotate_ns\": {decide_rotate:.1}\n    }},\n    \"modes\": {{\n"
     );
-    for (i, (mode, w)) in modes.iter().zip(&wheel).enumerate() {
+    for (i, (mode, w)) in modes.iter().zip(&stats).enumerate() {
         let _ = writeln!(
             current,
             "      \"{mode}\": {}{}",
@@ -294,30 +284,9 @@ fn main() {
             if i + 1 == modes.len() { "" } else { "," }
         );
     }
-    current.push_str("    },\n    \"heap_modes\": {\n");
-    for (i, (mode, h)) in modes.iter().zip(&heap).enumerate() {
-        let _ = writeln!(
-            current,
-            "      \"{mode}\": {}{}",
-            mode_json(*h),
-            if i + 1 == modes.len() { "" } else { "," }
-        );
-    }
-    // The gate (and both speedup lines) pin the TaiChi mode
-    // specifically — a Baseline- or Type2-mode improvement must never
-    // mask a TaiChi-mode regression.
-    let taichi_idx = 1usize;
-    assert!(matches!(modes[taichi_idx], Mode::TaiChi));
-    let wheel_vs_heap = wheel[taichi_idx].events_per_sec / heap[taichi_idx].events_per_sec;
-    let taichi_key = modes[taichi_idx].to_string();
-    let baseline_eps = events_per_sec_of(&baseline_block, &taichi_key);
-    let vs_baseline = baseline_eps
-        .map(|b| wheel[taichi_idx].events_per_sec / b)
-        .unwrap_or(f64::NAN);
     let _ = write!(
         current,
-        "    }},\n    \"speedup_TaiChi_wheel_vs_heap\": {wheel_vs_heap:.2},\n    \
-         \"speedup_TaiChi_vs_baseline\": {vs_baseline:.2}\n  }}"
+        "    }},\n    \"speedup_TaiChi_vs_baseline\": {ratio:.2}\n  }}"
     );
 
     let json = format!("{{\n  {baseline_block},\n  {current}\n}}\n");
@@ -332,14 +301,8 @@ fn main() {
     // ---- Regression gate. ----
 
     if check {
-        let Some(base) = baseline_eps else {
-            eprintln!("check: no TaiChi events_per_sec in the committed baseline");
-            std::process::exit(1);
-        };
-        let cur = wheel[taichi_idx].events_per_sec;
-        let ratio = cur / base;
         println!(
-            "check: TaiChi {cur:.0} events/s vs committed baseline {base:.0} \
+            "check: TaiChi {cur:.0} raw events/s vs committed baseline {base:.0} \
              ({ratio:.2}x, gate at 0.80x)"
         );
         if ratio < 0.80 {

@@ -9,8 +9,8 @@
 //! the fleet size.
 //!
 //! Deterministic: same seed + same knobs produce a byte-identical CSV
-//! for any `TAICHI_WORKERS` count, either fleet driver, and both
-//! `TAICHI_QUEUE` backends (see the `fleet_identity` test).
+//! for any `TAICHI_WORKERS` count and either fleet driver (see the
+//! `fleet_identity` test).
 //!
 //! Knobs: `--machines N`, `--epochs N`, `--churn F`, `--storm E|off`,
 //! `--sequential`, `--quick` (the CI smoke size: 64 machines x 8

@@ -19,9 +19,9 @@
 //!
 //! Emits the victim-p99-vs-aggressor-load curve as a deterministic
 //! CSV: same seed + knobs give a byte-identical file for any
-//! `TAICHI_WORKERS` count (the CI `tenant-smoke` job diffs 1 vs 4) and
-//! both `TAICHI_QUEUE` backends. Exits non-zero if any scheduler or
-//! packet-conservation invariant is violated in any cell.
+//! `TAICHI_WORKERS` count (the CI `tenant-smoke` job diffs 1 vs 4).
+//! Exits non-zero if any scheduler or packet-conservation invariant is
+//! violated in any cell.
 //!
 //! Knobs: `--tenants N`, `--weights A:B[:C...]`, `--aggressor I`,
 //! `--horizon-ms N`; the `TAICHI_TENANTS_COUNT` / `TAICHI_TENANTS_WEIGHTS`

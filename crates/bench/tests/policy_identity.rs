@@ -3,18 +3,18 @@
 //! The `trait Scheduler` refactor must be provably behavior-preserving:
 //! for every existing [`Mode`], a trait-dispatched run has to produce
 //! the same trace TSV, the same stats fingerprint, and the same
-//! experiment CSV as the hardwired pre-refactor code — across both
-//! queue backends (`TAICHI_QUEUE=wheel|heap`) and 1-vs-4 sweep workers.
+//! experiment CSV as the hardwired pre-refactor code, and the CSV must
+//! not depend on the sweep worker count (1 vs 4).
 //!
-//! The harness renders one fingerprint line per (mode, backend) run
-//! into `target/experiments/policy_fingerprints.tsv` (uploaded as a CI
+//! The harness renders one fingerprint line per mode into
+//! `target/experiments/policy_fingerprints.tsv` (uploaded as a CI
 //! artifact by the `policy-smoke` job) and, when `TAICHI_GOLDEN_OUT`
-//! is set, to that path as well — diffing two such files across a
-//! refactor is the byte-identity proof.
+//! is set, to that path as well. The hash of those lines is pinned to
+//! a constant recorded while the heap queue backend still existed and
+//! matched the wheel byte for byte.
 //!
-//! Kept as a single `#[test]` on purpose: the backend selector is a
-//! process-global environment variable (same constraint as
-//! `queue_backends.rs`).
+//! Kept as a single `#[test]` on purpose: the policy-selection check
+//! sets `TAICHI_POLICY`, a process-global environment variable.
 
 use taichi_bench::sweep_with;
 use taichi_core::machine::{Machine, Mode};
@@ -24,7 +24,7 @@ use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
 use taichi_sim::report::Table;
-use taichi_sim::{Dist, FaultPlan, QueueBackend, Rng, SimTime};
+use taichi_sim::{Dist, FaultPlan, Rng, SimTime};
 
 const SEED: u64 = 0x0E77;
 
@@ -55,7 +55,7 @@ fn add_bench_traffic(m: &mut Machine) {
 
 /// One traced full-featured run (traffic + CP batch + VM create) of a
 /// pre-built machine; returns the stats fingerprint and the trace-TSV
-/// content hash. The fingerprint mirrors `queue_backends.rs` so any
+/// content hash. The fingerprint mirrors `engine_golden.rs` so any
 /// divergence shows up in the observables the reproduction contract is
 /// stated in.
 fn run_built(mut m: Machine) -> (Vec<u64>, u64) {
@@ -154,69 +154,45 @@ fn ext_style_csv(workers: usize) -> String {
     table.to_csv()
 }
 
-fn fingerprint_line(backend: &str, label: &str, fp: &[u64], trace_fnv: u64) -> String {
+fn fingerprint_line(label: &str, fp: &[u64], trace_fnv: u64) -> String {
     let cells: Vec<String> = fp.iter().map(|v| v.to_string()).collect();
-    format!(
-        "{backend}\t{label}\t{}\ttrace_fnv={trace_fnv:016x}",
-        cells.join("\t")
-    )
+    format!("{label}\t{}\ttrace_fnv={trace_fnv:016x}", cells.join("\t"))
 }
 
 #[test]
 fn policy_dispatch_is_byte_identical_to_hardwired_modes() {
     let mut lines: Vec<String> = Vec::new();
 
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let be = match backend {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        };
-        std::env::set_var("TAICHI_QUEUE", be);
-        assert_eq!(QueueBackend::from_env(), backend, "selector must resolve");
-
-        // Every existing mode, trace + stats fingerprinted.
-        for mode in Mode::all() {
-            let (fp, trace_fnv) = run_mode(mode);
-            lines.push(fingerprint_line(be, &mode.to_string(), &fp, trace_fnv));
-        }
-
-        // Experiment CSV: identical across worker counts, recorded per
-        // backend so cross-backend identity is visible in the artifact.
-        let csv_serial = ext_style_csv(1);
-        let csv_parallel = ext_style_csv(4);
-        assert!(csv_serial.lines().count() > 2);
-        assert_eq!(
-            csv_serial, csv_parallel,
-            "{be}: experiment CSV must be worker-count invariant"
-        );
-        lines.push(format!(
-            "{be}\text-csv\tcsv_fnv={:016x}",
-            fnv64(csv_serial.as_bytes())
-        ));
-
-        std::env::remove_var("TAICHI_QUEUE");
+    // Every existing mode, trace + stats fingerprinted.
+    for mode in Mode::all() {
+        let (fp, trace_fnv) = run_mode(mode);
+        lines.push(fingerprint_line(&mode.to_string(), &fp, trace_fnv));
     }
 
-    // Cross-backend identity: the per-mode fingerprint lines must agree
-    // modulo the backend column.
-    let strip = |l: &String| l.split_once('\t').map(|(_, rest)| rest.to_string());
-    let wheel: Vec<_> = lines
-        .iter()
-        .filter(|l| l.starts_with("wheel\t"))
-        .filter_map(strip)
-        .collect();
-    let heap: Vec<_> = lines
-        .iter()
-        .filter(|l| l.starts_with("heap\t"))
-        .filter_map(strip)
-        .collect();
-    assert_eq!(wheel, heap, "wheel and heap artifacts diverged");
+    // Experiment CSV: identical across worker counts.
+    let csv_serial = ext_style_csv(1);
+    let csv_parallel = ext_style_csv(4);
+    assert!(csv_serial.lines().count() > 2);
+    assert_eq!(
+        csv_serial, csv_parallel,
+        "experiment CSV must be worker-count invariant"
+    );
+    lines.push(format!(
+        "ext-csv\tcsv_fnv={:016x}",
+        fnv64(csv_serial.as_bytes())
+    ));
+
+    let modes_tsv = lines.join("\n") + "\n";
+    let got = fnv64(modes_tsv.as_bytes());
+    assert_eq!(
+        got, 0x4179_659f_adab_0d91,
+        "per-mode fingerprint lines moved — got {got:#018x}:\n{modes_tsv}"
+    );
 
     // ----------------------------------------------------------------
-    // Policy selection equality (default backend: wheel). Selecting a
-    // policy — through `MachineConfig::policy` or `TAICHI_POLICY` —
-    // must reproduce the canonical mode's run byte-for-byte, from any
-    // starting mode.
+    // Policy selection equality. Selecting a policy — through
+    // `MachineConfig::policy` or `TAICHI_POLICY` — must reproduce the
+    // canonical mode's run byte-for-byte, from any starting mode.
     // ----------------------------------------------------------------
     assert!(
         std::env::var_os("TAICHI_POLICY").is_none(),
@@ -270,7 +246,7 @@ fn policy_dispatch_is_byte_identical_to_hardwired_modes() {
         vdp_ref,
         "matching policy selection must not flatten taichi-vdp"
     );
-    lines.push("wheel\tpolicy-selection\tok".to_string());
+    lines.push("policy-selection\tok".to_string());
 
     // Persist the fingerprints for the CI artifact and for manual
     // before/after diffs across refactors.

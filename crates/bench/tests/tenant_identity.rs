@@ -1,15 +1,12 @@
 //! Tenant-identity contract (DESIGN.md §3.11): a machine configured
 //! with `tenants.count == 1` must be **byte-identical** to the default
 //! (pre-tenant) engine — no arbiter, no per-tenant recorders, zero
-//! extra RNG draws — no matter what the other tenant knobs say, across
-//! the full `{wheel, heap} × {skip on, skip off}` matrix, for every
-//! exportable artifact: the scheduler trace TSV, the run-report stats
-//! fingerprint, and an `ext_*`-style experiment CSV (which must also
-//! be invariant to the sweep worker count, 1 vs. 4).
-//!
-//! Kept as a single `#[test]` for the same reason as `queue_backends`:
-//! the backend/skip selectors are process-global environment variables
-//! and sibling tests would race on them.
+//! extra RNG draws — no matter what the other tenant knobs say, for
+//! every exportable artifact: the scheduler trace TSV, the run-report
+//! stats fingerprint, and an `ext_*`-style experiment CSV (which must
+//! also be invariant to the sweep worker count, 1 vs. 4). The default
+//! run's artifacts are pinned to hashes recorded while the heap queue
+//! backend and the skip-off driver still existed and matched them.
 //!
 //! A second test pins the DRR fairness property at machine level:
 //! equal weights + equal demand ⇒ equal service, within one quantum.
@@ -22,7 +19,7 @@ use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind, TenantId};
 use taichi_sim::report::Table;
-use taichi_sim::{Dist, QueueBackend, Rng, SimTime};
+use taichi_sim::{Dist, Rng, SimTime};
 
 const SEED: u64 = 0x7E4A;
 
@@ -53,8 +50,8 @@ fn add_bench_traffic(m: &mut Machine) {
 
 /// One full-featured run (traffic + CP batch + VM create), with or
 /// without the explicit single-tenant config, returning the stats
-/// fingerprint and trace TSV — the same observables the queue-backend
-/// identity contract is stated in.
+/// fingerprint and trace TSV — the same observables the engine golden
+/// anchors are stated in.
 fn run_machine(tenant_cfg: bool, trace: bool) -> (Vec<u64>, Option<String>) {
     let mut cfg = MachineConfig {
         seed: SEED,
@@ -146,68 +143,77 @@ struct Artifacts {
     csv_parallel: String,
 }
 
-fn collect(backend: QueueBackend, skip: &str, tenant_cfg: bool) -> Artifacts {
-    std::env::set_var(
-        "TAICHI_QUEUE",
-        match backend {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
-    );
-    std::env::set_var("TAICHI_SKIP", skip);
+fn collect(tenant_cfg: bool) -> Artifacts {
     let (stats, _) = run_machine(tenant_cfg, false);
     let (traced_stats, trace) = run_machine(tenant_cfg, true);
     assert_eq!(
         stats, traced_stats,
-        "tenant_cfg={tenant_cfg} {backend:?}/skip={skip}: tracing must not perturb the run"
+        "tenant_cfg={tenant_cfg}: tracing must not perturb the run"
     );
-    let artifacts = Artifacts {
+    Artifacts {
         stats,
         trace: trace.expect("trace was enabled"),
         csv_serial: ext_style_csv(tenant_cfg, 1),
         csv_parallel: ext_style_csv(tenant_cfg, 4),
-    };
-    std::env::remove_var("TAICHI_QUEUE");
-    std::env::remove_var("TAICHI_SKIP");
-    artifacts
+    }
+}
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
 }
 
 #[test]
 fn single_tenant_config_is_byte_identical_to_default() {
-    let cells = [
-        (QueueBackend::Wheel, "on"),
-        (QueueBackend::Wheel, "off"),
-        (QueueBackend::Heap, "on"),
-        (QueueBackend::Heap, "off"),
-    ];
-    // Canonical: default config (no tenant knobs touched) on the
-    // production wheel/skip=on cell.
-    let canonical = collect(cells[0].0, cells[0].1, false);
+    // Canonical: default config, no tenant knobs touched.
+    let canonical = collect(false);
     assert!(
         canonical.trace.lines().count() > 100,
         "trace suspiciously short — workload drifted?"
     );
     assert!(canonical.csv_serial.lines().count() > 2);
+    let stats_text: String = canonical.stats.iter().map(|v| format!("{v}\t")).collect();
+    let got = (
+        fnv64(canonical.trace.as_bytes()),
+        fnv64(stats_text.as_bytes()),
+        fnv64(canonical.csv_serial.as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (
+            0xc67b_e012_666b_2c5a,
+            0x6380_1964_6e1c_e38b,
+            0xa57f_6754_93e3_37ab
+        ),
+        "(trace, fingerprint, csv) hashes moved — got ({:#018x}, {:#018x}, {:#018x})",
+        got.0,
+        got.1,
+        got.2
+    );
 
-    for &(backend, skip) in &cells {
-        let tenants = collect(backend, skip, true);
+    let tenants = collect(true);
+    assert_eq!(
+        canonical.trace, tenants.trace,
+        "trace TSV differs: default vs tenants=1"
+    );
+    assert_eq!(
+        canonical.stats, tenants.stats,
+        "stats fingerprint differs: default vs tenants=1"
+    );
+    for a in [&canonical, &tenants] {
         assert_eq!(
-            canonical.trace, tenants.trace,
-            "trace TSV differs: default vs tenants=1 on {backend:?}/skip={skip}"
-        );
-        assert_eq!(
-            canonical.stats, tenants.stats,
-            "stats fingerprint differs: default vs tenants=1 on {backend:?}/skip={skip}"
-        );
-        assert_eq!(
-            tenants.csv_serial, tenants.csv_parallel,
-            "tenants=1 {backend:?}/skip={skip}: CSV must be worker-count invariant"
-        );
-        assert_eq!(
-            canonical.csv_serial, tenants.csv_serial,
-            "experiment CSV differs: default vs tenants=1 on {backend:?}/skip={skip}"
+            a.csv_serial, a.csv_parallel,
+            "CSV must be worker-count invariant"
         );
     }
+    assert_eq!(
+        canonical.csv_serial, tenants.csv_serial,
+        "experiment CSV differs: default vs tenants=1"
+    );
 }
 
 /// Machine-level DRR fairness: two tenants with equal weights and

@@ -8,51 +8,6 @@ use taichi_sim::trace::TraceConfig;
 use taichi_sim::{FaultPlan, FootprintProfile, SimDuration};
 use taichi_virt::{Type2Model, VirtCosts};
 
-/// Idle-time skipping for the machine driver (the `TAICHI_SKIP`
-/// escape hatch, threaded like `TAICHI_QUEUE`).
-///
-/// With skipping on (the default) the driver cancels superseded
-/// periodic timers — DP idle notifications, vCPU slice expiries,
-/// kernel decision ticks — instead of dispatching them later as
-/// stale-generation no-ops, and the elided dispatches are folded into
-/// [`Machine::events_processed`] so every observable (traces, stats
-/// fingerprints, CSVs) stays byte-identical to a skip-off run.
-///
-/// [`Machine::events_processed`]: crate::machine::Machine::events_processed
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SkipMode {
-    /// Cancel superseded timers; count them as skipped (the default).
-    #[default]
-    On,
-    /// Dispatch every scheduled event, stale ones included — the
-    /// oracle configuration the identity tests compare against.
-    Off,
-}
-
-impl SkipMode {
-    /// Resolves the mode from the `TAICHI_SKIP` environment variable:
-    /// `on` (or unset/empty) and `off` are accepted; anything else
-    /// warns to stderr once per process and falls back to `On`,
-    /// mirroring the `TAICHI_QUEUE` convention.
-    pub fn from_env() -> SkipMode {
-        taichi_sim::env::env_parse_or_warn("TAICHI_SKIP", |s| match s.trim() {
-            "" | "on" => Ok(SkipMode::On),
-            "off" => Ok(SkipMode::Off),
-            other => Err(format!(
-                "warning: TAICHI_SKIP={other:?} is not a known skip mode \
-                 (expected \"on\" or \"off\"); skipping stays on"
-            )),
-        })
-        .unwrap_or_default()
-    }
-
-    /// True when superseded timers are cancelled rather than
-    /// dispatched.
-    pub fn is_on(self) -> bool {
-        self == SkipMode::On
-    }
-}
-
 /// Tuning knobs for the Tai Chi scheduler proper (§4).
 #[derive(Clone, Debug)]
 pub struct TaiChiConfig {
@@ -244,15 +199,10 @@ pub struct MachineConfig {
     ///
     /// [`Mode`]: crate::machine::Mode
     pub policy: Option<crate::sched::PolicyKind>,
-    /// Idle-time skipping override. `None` (the default) resolves from
-    /// the `TAICHI_SKIP` environment variable at machine construction
-    /// (on unless `TAICHI_SKIP=off`); `Some` wins over the
-    /// environment, exactly like the queue-backend selection.
-    pub skip: Option<SkipMode>,
     /// Memory-footprint profile: `Hot` (the default) makes every
     /// worst-case reservation at construction so the steady-state loop
-    /// never allocates; `Fleet` starts the event slab, skip heap, and
-    /// rx rings small and grows them to the machine's actual working
+    /// never allocates; `Fleet` starts the event slab, skipped-deadline
+    /// heap, and rx rings small and grows them to the machine's actual working
     /// set — what a driver standing up thousands of mostly-idle
     /// machines wants. Byte-identical observables either way (the
     /// fleet identity matrix pins this).
@@ -274,7 +224,6 @@ impl Default for MachineConfig {
             trace: TraceConfig::default(),
             faults: FaultPlan::default(),
             policy: None,
-            skip: None,
             footprint: FootprintProfile::default(),
         }
     }

@@ -27,7 +27,7 @@
 //! preprocess+transfer window, so the DP service is back on the core
 //! before the packet reaches shared memory.
 
-use crate::config::{MachineConfig, SkipMode};
+use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
 use crate::probe_sw::AdaptiveYield;
 use crate::sched::{make_scheduler, KernelCtx, PolicyKind, Scheduler};
@@ -42,8 +42,8 @@ use taichi_hw::{
 use taichi_os::{ActionBuf, CpuSet, Kernel, KernelAction, Program, Segment, SoftirqKind, ThreadId};
 use taichi_sim::trace::FailureDump;
 use taichi_sim::{
-    DelayLine, EventQueue, EventToken, FaultInjector, IpiFate, QueueBackend, Rng, SimDuration,
-    SimTime, TraceKind, Tracer,
+    DelayLine, EventQueue, EventToken, FaultInjector, IpiFate, Rng, SimDuration, SimTime,
+    TraceKind, Tracer,
 };
 use taichi_virt::{VcpuState, VmExitReason};
 
@@ -311,15 +311,10 @@ pub struct Machine {
     cp_fill_dirty: bool,
     /// Events physically dispatched to handlers.
     events_dispatched: u64,
-    /// Superseded timers cancelled before dispatch by the skip layer
-    /// (each one a stale-generation no-op a skip-off run would have
-    /// dispatched). `events_dispatched + events_skipped` is invariant
-    /// across skip modes.
+    /// Superseded timers cancelled before dispatch by the skip layer,
+    /// counted once the clock reaches their deadline (each one a
+    /// stale-generation no-op the handler would have ignored).
     events_skipped: u64,
-    /// Idle-time skipping resolved at construction (`cfg.skip`, else
-    /// `TAICHI_SKIP`): cancel superseded timers instead of dispatching
-    /// them later as stale no-ops.
-    skip: bool,
     /// Cached `policy.uses_vcpus()` — the policy never changes after
     /// construction, and the flag gates every idle-arm and CP-fill
     /// pass, so the virtual call is hoisted out of the hot loop.
@@ -332,7 +327,7 @@ pub struct Machine {
     vcpu_slice_tok: Vec<Option<(EventToken, SimTime)>>,
     kernel_tok: Vec<Option<(EventToken, SimTime)>>,
     /// Deadlines of cancelled timers not yet folded into
-    /// `events_skipped`: a skip-off run dispatches a superseded timer
+    /// `events_skipped`: an uncancelled superseded timer would fire
     /// only when the clock reaches its deadline, so a cancelled timer
     /// counts as skipped only once `now` passes it — deadlines beyond
     /// the final horizon would never have fired and must never count.
@@ -565,7 +560,6 @@ impl Machine {
 
         let n_v = vcpu_ids.len();
         let sources = SourceKeys::new(1 + services.len());
-        let skip = cfg.skip.unwrap_or_else(SkipMode::from_env).is_on();
         let uses_vcpus = policy.uses_vcpus();
         Machine {
             accel,
@@ -587,7 +581,6 @@ impl Machine {
             cp_fill_dirty: true,
             events_dispatched: 0,
             events_skipped: 0,
-            skip,
             uses_vcpus,
             dp_idle_tok: vec![None; dp_count as usize],
             vcpu_slice_tok: vec![None; n_v],
@@ -629,10 +622,7 @@ impl Machine {
             deliveries: DelayLine::with_capacity(cfg.footprint.delivery_line_capacity()),
             sources,
             queue: {
-                let mut q = EventQueue::with_backend_and_slots(
-                    QueueBackend::from_env(),
-                    cfg.footprint.initial_event_slots(),
-                );
+                let mut q = EventQueue::with_slots(cfg.footprint.initial_event_slots());
                 if cfg.footprint.eager_rings() {
                     // Hot profile: materialize the wheel's bucket-head
                     // chunks too, so the audited steady-state loop
@@ -1031,11 +1021,11 @@ impl Machine {
     }
 
     /// Skip layer: cancels the superseded timer behind `tok` (when the
-    /// event is still queued) and records its deadline, keeping
-    /// [`Machine::events_processed`] identical to a skip-off run —
-    /// which dispatches the timer as a stale-generation no-op when the
-    /// clock reaches the deadline, and never if the run ends first.
-    /// [`Machine::settle_skipped`] folds the matured deadlines in.
+    /// event is still queued) and records its deadline, so
+    /// [`Machine::events_processed`] still counts the timer at the
+    /// instant it would have fired as a stale-generation no-op — and
+    /// never if the run ends first. [`Machine::settle_skipped`] folds
+    /// the matured deadlines in.
     fn skip_stale(&mut self, tok: Option<(EventToken, SimTime)>) {
         if let Some((tok, deadline)) = tok {
             if self.queue.cancel(tok) {
@@ -1044,9 +1034,9 @@ impl Machine {
         }
     }
 
-    /// Counts every cancelled timer whose deadline the clock has now
-    /// passed — the instants where a skip-off run dispatched the same
-    /// timer as a no-op.
+    /// Counts every cancelled timer whose deadline the clock has
+    /// reached — the instants where the uncancelled timer would have
+    /// fired as a no-op.
     fn settle_skipped(&mut self) {
         while let Some(&Reverse(d)) = self.skipped_deadlines.peek() {
             if d > self.now.as_nanos() {
@@ -1323,19 +1313,15 @@ impl Machine {
         };
         self.dp_idle_gen[si] += 1;
         let gen = self.dp_idle_gen[si];
-        if self.skip {
-            // Re-arming supersedes the previous notification: elide it
-            // instead of letting it fire as a gen-mismatch no-op. The
-            // early returns above leave the prior timer untouched — its
-            // generation still matches, so it is not stale.
-            let old = self.dp_idle_tok[si].take();
-            self.skip_stale(old);
-        }
+        // Re-arming supersedes the previous notification: elide it
+        // instead of letting it fire as a gen-mismatch no-op. The early
+        // returns above leave the prior timer untouched — its
+        // generation still matches, so it is not stale.
+        let old = self.dp_idle_tok[si].take();
+        self.skip_stale(old);
         let at = t.max(self.now);
         let tok = self.schedule(at, Event::DpIdle { host, gen });
-        if self.skip {
-            self.dp_idle_tok[si] = Some((tok, at));
-        }
+        self.dp_idle_tok[si] = Some((tok, at));
     }
 
     fn on_dp_idle(&mut self, host: CpuId, gen: u64) {
@@ -1484,12 +1470,10 @@ impl Machine {
         self.vcpu_gen[idx] += 1;
         let gen = self.vcpu_gen[idx];
         let tok = self.schedule(slice_end, Event::VcpuSliceExpire { idx, gen });
-        if self.skip {
-            // Any previous slice timer was already cancelled (or fired)
-            // when the prior grant exited; storing unconditionally is
-            // safe because stale tokens cancel as no-ops.
-            self.vcpu_slice_tok[idx] = Some((tok, slice_end));
-        }
+        // Any previous slice timer was already cancelled (or fired)
+        // when the prior grant exited; storing unconditionally is safe
+        // because stale tokens cancel as no-ops.
+        self.vcpu_slice_tok[idx] = Some((tok, slice_end));
     }
 
     fn on_slice_expire(&mut self, idx: usize, gen: u64) {
@@ -1516,13 +1500,11 @@ impl Machine {
         self.with_kernel(|k, now, out| k.pause_cpu(vid, now, out));
         self.vsched.vcpu_mut(idx).begin_exit(reason, self.now);
         self.vcpu_gen[idx] += 1; // invalidate any pending slice timer
-        if self.skip {
-            // The invalidated slice timer can never match again: elide
-            // it. When this exit *is* the slice expiry, the token is
-            // already stale and the cancel records nothing.
-            let old = self.vcpu_slice_tok[idx].take();
-            self.skip_stale(old);
-        }
+                                 // The invalidated slice timer can never match again: elide it.
+                                 // When this exit *is* the slice expiry, the token is already
+                                 // stale and the cancel records nothing.
+        let old = self.vcpu_slice_tok[idx].take();
+        self.skip_stale(old);
         // Full switch latency (VM-exit + pCPU context restore): the
         // 2 µs the hardware probe hides inside the I/O window.
         let done = self.now + self.cfg.taichi.costs.switch_latency();
@@ -1697,18 +1679,14 @@ impl Machine {
     fn rearm_kernel(&mut self, cpu: CpuId) {
         if cpu.index() >= self.kernel_gen.len() {
             self.kernel_gen.resize(cpu.index() + 1, 0);
+            self.kernel_tok.resize(cpu.index() + 1, None);
         }
         self.kernel_gen[cpu.index()] += 1;
         let gen = self.kernel_gen[cpu.index()];
-        if self.skip {
-            if cpu.index() >= self.kernel_tok.len() {
-                self.kernel_tok.resize(cpu.index() + 1, None);
-            }
-            // The generation bump above permanently staled any pending
-            // decision timer — whether or not a new one gets armed.
-            let old = self.kernel_tok[cpu.index()].take();
-            self.skip_stale(old);
-        }
+        // The generation bump above permanently staled any pending
+        // decision timer — whether or not a new one gets armed.
+        let old = self.kernel_tok[cpu.index()].take();
+        self.skip_stale(old);
         if let Some(mut t) = self.kernel.next_decision_time(cpu, self.now) {
             if let Some(f) = &self.fault {
                 // Late decision timers are tolerated by the kernel (it
@@ -1718,9 +1696,7 @@ impl Machine {
             }
             let at = t.max(self.now);
             let tok = self.schedule(at, Event::KernelDecide { cpu, gen });
-            if self.skip {
-                self.kernel_tok[cpu.index()] = Some((tok, at));
-            }
+            self.kernel_tok[cpu.index()] = Some((tok, at));
         }
     }
 
@@ -2030,10 +2006,9 @@ impl Machine {
 
     /// Logical events retired by [`Machine::run_until`] so far:
     /// dispatched handlers plus superseded timers the skip layer
-    /// elided before dispatch. The sum is invariant across queue
-    /// backends and skip modes (every elided timer would have been a
-    /// stale-generation no-op), which is why the byte-identity
-    /// fingerprints lead with this value.
+    /// elided before dispatch (every elided timer would have been a
+    /// stale-generation no-op). The golden fingerprints lead with this
+    /// value.
     pub fn events_processed(&self) -> u64 {
         self.events_dispatched + self.events_skipped
     }
@@ -2045,7 +2020,7 @@ impl Machine {
     }
 
     /// Superseded timers cancelled before dispatch by the skip layer
-    /// (always zero under `TAICHI_SKIP=off`).
+    /// whose deadline the clock has reached.
     pub fn events_skipped(&self) -> u64 {
         self.events_skipped
     }

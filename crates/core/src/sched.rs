@@ -108,7 +108,7 @@ impl PolicyKind {
     /// Resolves the `TAICHI_POLICY` environment override. An
     /// unrecognized value warns to stderr once per process and is
     /// ignored (the mode-derived policy applies), following the
-    /// `TAICHI_QUEUE`/`TAICHI_SEED` convention.
+    /// `TAICHI_SEED` convention.
     pub fn from_env() -> Option<PolicyKind> {
         taichi_sim::env::env_parse_or_warn("TAICHI_POLICY", |s| {
             s.trim().parse().map_err(|_| {

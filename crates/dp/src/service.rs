@@ -328,8 +328,8 @@ impl DpService {
 
     /// Empty-poll iterations elided by the analytic Fig. 9 loop:
     /// every closed run plus the still-open run measured at `now`. A
-    /// pure function of the packet/grant schedule, so the value is
-    /// identical across queue backends and skip modes.
+    /// pure function of the packet/grant schedule, independent of how
+    /// the engine orders or elides its timer events.
     pub fn fast_forwarded_polls(&self, now: SimTime) -> u64 {
         self.ff_polls + self.empty_polls(now)
     }

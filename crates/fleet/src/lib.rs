@@ -14,7 +14,7 @@
 //! mid-epoch state. That independence is what lets the epoch-parallel
 //! driver fan machines out across worker threads and still produce
 //! **byte-identical** results for any worker count, either driver, and
-//! both queue backends: the per-machine work is a pure function of
+//! either footprint profile: the per-machine work is a pure function of
 //! `(fleet seed, machine index, epoch plans)`, and everything the fold
 //! exports is either accumulated in exact integer arithmetic
 //! (commutative + associative, arrival order irrelevant) or folded on
@@ -231,7 +231,6 @@ impl FleetConfig {
         if let Some(v) = env_parse_or_warn("TAICHI_FLEET_STORM", parse_storm) {
             self.storm_epoch = v;
         }
-        self.footprint = FootprintProfile::from_env_or(self.footprint);
     }
 
     /// Start of epoch `e`.
@@ -787,10 +786,9 @@ pub struct FleetResult {
     /// Total invariant violations across all machines and epochs.
     pub violation_count: u64,
     /// Max event-slab high-water mark (slots) across every machine.
-    /// Diagnostic only: the slab fill differs between queue backends
-    /// (the wheel fuses same-deadline events into fewer slots), so
-    /// this must never enter [`FleetResult::fingerprint`] or any
-    /// identity-compared table.
+    /// Diagnostic only: slab fill is a storage detail of the event
+    /// queue, not simulated behaviour, so this must never enter
+    /// [`FleetResult::fingerprint`] or any identity-compared table.
     pub slab_high_watermark: usize,
     /// Max packet-backlog high-water mark (packets: rx and staging
     /// rings, accelerator delivery line) across every machine.
@@ -798,8 +796,7 @@ pub struct FleetResult {
     pub ring_high_watermark: usize,
     /// Sum of per-machine resident backing bytes (event slab, wheel
     /// chunks, delivery line, rings) sampled at the final epoch
-    /// boundary. Diagnostic only: depends on footprint profile and
-    /// backend.
+    /// boundary. Diagnostic only: depends on the footprint profile.
     pub resident_bytes: u64,
 }
 
@@ -954,7 +951,7 @@ impl FleetResult {
 
     /// Whole-run rack summary table (a single row). Every column here
     /// is part of the identity contract (byte-identical across
-    /// backends, drivers, worker counts, and footprint profiles) —
+    /// drivers, worker counts, and footprint profiles) —
     /// memory diagnostics live in
     /// [`FleetResult::summary_table_with_mem`] instead.
     pub fn summary_table(&self) -> Table {
@@ -966,9 +963,9 @@ impl FleetResult {
     /// The summary row extended with memory diagnostics: slab/ring
     /// high-water marks, resident bytes per machine, and (when the
     /// caller measured one) the process peak RSS. These extra columns
-    /// are *not* identity-compared — slab fill differs between queue
-    /// backends, resident bytes between footprint profiles, and RSS
-    /// between runs — so nothing here may feed
+    /// are *not* identity-compared — slab fill and resident bytes
+    /// differ between footprint profiles, and RSS between runs — so
+    /// nothing here may feed
     /// [`FleetResult::fingerprint`].
     pub fn summary_table_with_mem(&self, peak_rss_kb: Option<u64>) -> Table {
         let mut header: Vec<&str> = Self::SUMMARY_HEADER.to_vec();

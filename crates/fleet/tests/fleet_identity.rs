@@ -1,21 +1,17 @@
 //! Fleet determinism matrix: the rack-level CSV and aggregate
 //! fingerprint must be **byte-identical** across
-//! `{wheel, heap}` queue backends × `{skip on, skip off}` ×
 //! `{sequential, epoch-parallel}` drivers × `{1, 4}` workers ×
-//! `{hot, fleet}` footprint profiles.
+//! `{hot, fleet}` footprint profiles, and the reference cell must hash
+//! to constants recorded while the heap queue backend and the
+//! skip-off driver still existed and matched it.
 //!
-//! This is the fleet analogue of `queue_backends.rs`: machine-level
-//! identity says one NIC's exports don't depend on the scheduling
-//! core's implementation; fleet identity additionally says the rack
-//! fold doesn't depend on how machines are sharded across worker
-//! threads or in what order their epoch deltas arrive.
-//!
-//! Kept as a single `#[test]` on purpose: `TAICHI_QUEUE` and
-//! `TAICHI_SKIP` are process-global environment variables, and sibling
-//! tests running concurrently in this binary would race on them.
+//! Machine-level golden anchors say one NIC's exports are pinned;
+//! fleet identity additionally says the rack fold doesn't depend on how
+//! machines are sharded across worker threads, in what order their
+//! epoch deltas arrive, or where each machine's storage starts.
 
 use taichi_fleet::{run, FleetConfig, FleetDriver};
-use taichi_sim::{FootprintProfile, QueueBackend, SimDuration};
+use taichi_sim::{FootprintProfile, SimDuration};
 
 fn config() -> FleetConfig {
     FleetConfig {
@@ -31,38 +27,31 @@ fn config() -> FleetConfig {
     }
 }
 
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 struct Artifacts {
     fingerprint: Vec<u64>,
     epoch_csv: String,
     summary_csv: String,
 }
 
-fn collect(
-    backend: QueueBackend,
-    skip: &str,
-    driver: FleetDriver,
-    footprint: FootprintProfile,
-) -> Artifacts {
-    std::env::set_var(
-        "TAICHI_QUEUE",
-        match backend {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
-    );
-    std::env::set_var("TAICHI_SKIP", skip);
-    assert_eq!(QueueBackend::from_env(), backend, "selector must resolve");
+fn collect(driver: FleetDriver, footprint: FootprintProfile) -> Artifacts {
     let cfg = FleetConfig {
         footprint,
         ..config()
     };
     let result = run(&cfg, driver);
-    std::env::remove_var("TAICHI_QUEUE");
-    std::env::remove_var("TAICHI_SKIP");
     assert_eq!(
         result.violation_count, 0,
         "invariants must hold on every machine at every epoch boundary \
-         ({backend:?}/skip={skip}/{driver:?}/{footprint:?}): {:?}",
+         ({driver:?}/{footprint:?}): {:?}",
         result.violations
     );
     Artifacts {
@@ -79,45 +68,53 @@ fn rack_artifacts_are_byte_identical_across_the_matrix() {
         FleetDriver::EpochParallel { workers: 1 },
         FleetDriver::EpochParallel { workers: 4 },
     ];
-    let cells = [
-        (QueueBackend::Wheel, "on"),
-        (QueueBackend::Wheel, "off"),
-        (QueueBackend::Heap, "on"),
-        (QueueBackend::Heap, "off"),
-    ];
-
     let profiles = [FootprintProfile::Fleet, FootprintProfile::Hot];
 
-    // Reference: the production cell under the reference driver.
-    let baseline = collect(cells[0].0, cells[0].1, drivers[0], profiles[0]);
+    // Reference: the fleet profile under the reference driver.
+    let baseline = collect(drivers[0], profiles[0]);
     assert!(
         baseline.epoch_csv.lines().count() == config().epochs + 1,
         "one CSV row per epoch plus the header"
     );
-    // The run must actually exercise the fleet: east-west injections
-    // and a storm both show up in the CSV.
-    assert!(baseline.epoch_csv.contains(','), "CSV renders");
+    let fp_text: String = baseline
+        .fingerprint
+        .iter()
+        .map(|v| format!("{v}\t"))
+        .collect();
+    let got = (
+        fnv64(fp_text.as_bytes()),
+        fnv64(baseline.epoch_csv.as_bytes()),
+        fnv64(baseline.summary_csv.as_bytes()),
+    );
+    assert_eq!(
+        got,
+        (
+            0x0cfe_e76c_0108_0a49,
+            0xbaa5_f329_834b_a83b,
+            0x53e6_a25a_50a9_a227
+        ),
+        "(fingerprint, epoch csv, summary csv) hashes moved — got \
+         ({:#018x}, {:#018x}, {:#018x})",
+        got.0,
+        got.1,
+        got.2
+    );
 
-    for &(backend, skip) in &cells {
-        for &driver in &drivers {
-            for &footprint in &profiles {
-                let other = collect(backend, skip, driver, footprint);
-                assert_eq!(
-                    baseline.fingerprint, other.fingerprint,
-                    "aggregate fingerprint differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
-                );
-                assert_eq!(
-                    baseline.epoch_csv, other.epoch_csv,
-                    "rack CSV differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
-                );
-                assert_eq!(
-                    baseline.summary_csv, other.summary_csv,
-                    "summary CSV differs: wheel/skip=on/Sequential/Fleet \
-                     vs {backend:?}/skip={skip}/{driver:?}/{footprint:?}"
-                );
-            }
+    for &driver in &drivers {
+        for &footprint in &profiles {
+            let other = collect(driver, footprint);
+            assert_eq!(
+                baseline.fingerprint, other.fingerprint,
+                "aggregate fingerprint differs: Sequential/Fleet vs {driver:?}/{footprint:?}"
+            );
+            assert_eq!(
+                baseline.epoch_csv, other.epoch_csv,
+                "rack CSV differs: Sequential/Fleet vs {driver:?}/{footprint:?}"
+            );
+            assert_eq!(
+                baseline.summary_csv, other.summary_csv,
+                "summary CSV differs: Sequential/Fleet vs {driver:?}/{footprint:?}"
+            );
         }
     }
 }

@@ -1,14 +1,15 @@
 //! One-shot parsing of `TAICHI_*` environment overrides.
 //!
 //! Every selector the simulator reads from the environment
-//! (`TAICHI_QUEUE`, `TAICHI_SEED`, `TAICHI_WORKERS`, `TAICHI_FAULTS`,
-//! `TAICHI_POLICY`) shares the same contract: unset means the default,
-//! a valid value applies, and an invalid value falls back **with a
-//! warning** — silently ignoring a typoed selector would fake a
-//! comparison run. The warning must also not repeat: several of these
-//! variables are consulted per constructed object (every `EventQueue`
-//! re-reads `TAICHI_QUEUE`), and a 100k-machine sweep repeating the
-//! same line 100k times buries the one occurrence that matters.
+//! (`TAICHI_SEED`, `TAICHI_WORKERS`, `TAICHI_FAULTS`, `TAICHI_POLICY`,
+//! the `TAICHI_TENANTS_*` and `TAICHI_FLEET_*` knobs) shares the same
+//! contract: unset means the default, a valid value applies, and an
+//! invalid value falls back **with a warning** — silently ignoring a
+//! typoed selector would fake a comparison run. The warning must also
+//! not repeat: several of these variables are consulted per
+//! constructed object (every `Machine` re-reads `TAICHI_FAULTS` and
+//! `TAICHI_POLICY`), and a 100k-machine sweep repeating the same line
+//! 100k times buries the one occurrence that matters.
 //!
 //! [`env_parse_or_warn`] centralizes the read-parse-warn-once shape;
 //! [`warn_once`] is the underlying deduplicated emitter for callers

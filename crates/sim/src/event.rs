@@ -9,7 +9,7 @@
 //!
 //! This is the simulator's hottest structure (every machine event goes
 //! through one schedule and one pop), so the schedule/pop/cancel path
-//! performs **zero hash lookups**. Every scheduling backend shares one
+//! performs **zero hash lookups**. The queue keeps its entries in a
 //! *slab*: each queued entry is stamped with a slot; the slot records a
 //! generation counter, a cancelled bit, and owns the event payload (the
 //! ordering structures only shuffle small fixed-size keys, however
@@ -25,28 +25,12 @@
 //!   (fired or swept), recycling the slot and invalidating any stale
 //!   tokens.
 //!
-//! # Backends: hierarchical timing wheel vs. binary heap
+//! # Hierarchical timing wheel
 //!
-//! Two interchangeable scheduling cores sit on top of the slab,
-//! selected by the `TAICHI_QUEUE` environment variable (`wheel`, the
-//! default, or `heap`) or programmatically via
-//! [`EventQueue::with_backend`]. Both produce **identical observable
-//! behaviour** — the same `(time, seq)` pop order, the same `cancel`
-//! return values, the same `peek_time` — so traces, stats, and CSVs are
-//! byte-identical across backends for the same seed. (The only
-//! backend-dependent observable is the diagnostic
-//! [`EventQueue::cancelled_backlog`], which reflects how lazily each
-//! backend disposes of cancelled entries.)
-//!
-//! **Heap**: a binary min-heap of keys with lazy cancellation (flipped
-//! bit, discarded when the entry surfaces). The heap top is kept live
-//! by sweeping in `pop` and `cancel`, so `peek_time` is a plain O(1)
-//! `&self` read. O(log n) per operation.
-//!
-//! **Wheel** (default): a hierarchical timing wheel (calendar queue)
+//! The scheduling core is a hierarchical timing wheel (calendar queue)
 //! tuned for the simulator's actual event mix — dense, near-future
-//! timers (softirq deadlines, burst completions, probe windows, slice
-//! expiries):
+//! timers (softirq deadlines, probe windows, slice expiries, kernel
+//! decision ticks):
 //!
 //! - **Level 0**: 2048 buckets of 64 ns ⇒ a 131 µs window, with an
 //!   occupancy bitmap (one bit per bucket) so the scan jumps straight
@@ -69,32 +53,14 @@
 //! burst), so the per-bucket min-scan that restores exact `(time,
 //! seq)` order is a walk over a handful of slots.
 //!
-//! Steady-state schedule/pop on the wheel is O(1), and
+//! Steady-state schedule/pop is O(1), and
 //! [`EventQueue::drain_next_batch`] exposes the calendar structure to
 //! drivers: one wheel access drains an entire same-timestamp burst.
 //!
-//! Cancellation differs structurally: the wheel knows which bucket an
-//! entry lives in (the slab records it), so wheel cancels remove the
-//! entry *eagerly* — except in the overflow heap, where cancellation
-//! stays lazy exactly like the heap backend.
-//!
-//! # Same-deadline fusion (wheel backend)
-//!
-//! Periodic timer re-arms frequently collide on the exact same
-//! deadline (several DP services arming the same poll window, a burst
-//! of slice expiries at one instant). Scheduling into a wheel level
-//! first checks the target bucket for a live slot firing at exactly
-//! that time; on a hit the new event is appended to that slot's
-//! `fused` member list instead of consuming a fresh slab slot and
-//! bucket node. The slot's ordering key is always its *front* member's
-//! sequence number: popping a fused slot sheds one member and re-keys
-//! the slot to the next, so exact `(time, seq)` order — including
-//! interleaving with other same-time slots — is preserved, and each
-//! member token (stamped with its own sequence number) remains
-//! individually cancellable. Fusion is an optimization, not a
-//! guarantee: the bucket walk is bounded, and the heap backend and the
-//! wheel's overflow heap never fuse, yet all backends stay observably
-//! identical.
+//! The slab records which bucket an entry lives in, so cancels inside
+//! the two wheel levels remove the entry *eagerly*; only the overflow
+//! heap cancels lazily (a flipped bit, discarded when the entry
+//! surfaces or is promoted).
 //!
 //! Advancing the level-0 window over a long idle gap hops via the
 //! level-1 occupancy bitmap: a span of empty calendar costs one bitmap
@@ -110,55 +76,17 @@ use crate::time::SimTime;
 ///
 /// Tokens are generation-stamped: once the event fires (or the cancel
 /// is swept), the token goes stale and [`EventQueue::cancel`] on it is
-/// a recorded-nothing no-op. The sequence number additionally
-/// distinguishes the members of a fused slot (several same-deadline
-/// events sharing one slab slot — see the module docs), so member
-/// tokens stay individually cancellable.
+/// a recorded-nothing no-op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EventToken {
     slot: u32,
     generation: u64,
-    seq: u64,
 }
 
-/// Scheduling core selection (see the module docs). The default —
-/// and the `TAICHI_QUEUE` fallback — is the timing wheel.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel with heap overflow (the default).
-    #[default]
-    Wheel,
-    /// Binary min-heap with lazy cancellation (the PR 2 engine).
-    Heap,
-}
-
-impl QueueBackend {
-    /// Resolves the backend from the `TAICHI_QUEUE` environment
-    /// variable: `wheel` (or unset/empty) and `heap` are accepted; an
-    /// unrecognized value warns to stderr **once per process** and
-    /// falls back to the wheel, mirroring the `TAICHI_SEED` convention
-    /// — silently ignoring a typoed selector would fake a backend
-    /// comparison, and every `EventQueue` construction re-reads the
-    /// variable, so without deduplication a sweep would repeat the
-    /// warning per machine.
-    pub fn from_env() -> QueueBackend {
-        crate::env::env_parse_or_warn("TAICHI_QUEUE", |s| match s.trim() {
-            "" | "wheel" => Ok(QueueBackend::Wheel),
-            "heap" => Ok(QueueBackend::Heap),
-            other => Err(format!(
-                "warning: TAICHI_QUEUE={other:?} is not a known queue backend \
-                 (expected \"wheel\" or \"heap\"); using the wheel"
-            )),
-        })
-        .unwrap_or_default()
-    }
-}
-
-/// A heap entry carries no payload — only the key and the slot index.
-/// Keeping entries at ~20 bytes matters: heap sifts move entries
-/// around, and event payloads (which can be an order of magnitude
-/// larger) would be copied repeatedly. Payloads live in the slab and
-/// are written exactly once on schedule and read exactly once on pop.
+/// An overflow-heap entry carries no payload — only the key and the
+/// slot index. Payloads live in the slab and are written exactly once
+/// on schedule and read exactly once on pop, however often heap sifts
+/// move the entry.
 #[derive(Clone, Copy)]
 struct Entry {
     time: SimTime,
@@ -194,8 +122,8 @@ impl Ord for Entry {
     }
 }
 
-/// Where an entry currently lives, recorded in its slab slot so wheel
-/// cancels can remove it eagerly without a search.
+/// Where an entry currently lives, recorded in its slab slot so cancels
+/// can remove it eagerly without a search. Free slots hold `LOC_NONE`.
 const LOC_NONE: u32 = u32::MAX;
 /// The entry sits in the overflow heap (lazy cancellation).
 const LOC_OVERFLOW: u32 = u32::MAX - 1;
@@ -206,52 +134,26 @@ const NIL: u32 = u32::MAX;
 /// Default slab capacity reserved at construction, sized so the
 /// in-flight high-water mark of a full machine (a few hundred events)
 /// never forces a mid-run doubling. Fleet footprint profiles override
-/// this via [`EventQueue::with_backend_and_slots`].
+/// this via [`EventQueue::with_slots`].
 pub const INITIAL_SLOTS: usize = 1024;
 
 /// Per-slot bookkeeping. A slot is bound to exactly one queued entry at
 /// a time; the generation distinguishes successive occupants. The slot
-/// owns the entry's payload and — for the wheel backend — carries the
-/// ordering key and the intrusive bucket-list link, so the wheel needs
-/// no storage of its own.
+/// owns the entry's payload and carries the ordering key and the
+/// intrusive bucket-list link, so the wheel needs no storage of its
+/// own.
 struct Slot<E> {
     generation: u64,
     cancelled: bool,
-    /// Wheel backend only: `LOC_OVERFLOW`, a level-0 bucket index
-    /// (`0..N0`), or `N0 +` a level-1 bucket index. `LOC_NONE` for the
-    /// heap backend and for free slots.
+    /// `LOC_OVERFLOW`, a level-0 bucket index (`0..N0`), `N0 +` a
+    /// level-1 bucket index, or `LOC_NONE` for free slots.
     loc: u32,
-    /// Ordering key, valid while queued (wheel backend).
+    /// Ordering key, valid while queued.
     time: SimTime,
     seq: u64,
     /// Next slot in the same bucket's intrusive list, or [`NIL`].
     next: u32,
     event: Option<E>,
-    /// Same-deadline fusion members (wheel levels only), in ascending
-    /// sequence order. The slot's `seq`/`event` pair is the *front*
-    /// member; these are the rest. Empty for singletons, the heap
-    /// backend, and the overflow heap. A retiring slot hands its
-    /// member storage to the queue's pool, so fusion on any slot
-    /// reuses it and steady-state fusion stays allocation-free.
-    fused: Vec<(u64, E)>,
-}
-
-impl<E> Slot<E> {
-    /// Unlinks the slot and invalidates its outstanding tokens, handing
-    /// any fused-member storage to `pool`. Payload and cancel flag are
-    /// left to the caller.
-    fn retire(&mut self, pool: &mut Vec<Vec<(u64, E)>>) {
-        debug_assert!(
-            self.fused.is_empty(),
-            "fused slots shed members, not retire"
-        );
-        if self.fused.capacity() != 0 {
-            pool.push(std::mem::take(&mut self.fused));
-        }
-        self.generation += 1;
-        self.loc = LOC_NONE;
-        self.next = NIL;
-    }
 }
 
 // --------------------------------------------------------------------
@@ -403,30 +305,6 @@ impl Wheel {
     }
 }
 
-/// Upper bound on the bucket walk looking for a same-deadline fusion
-/// target. Level-0 buckets cover one 64 ns instant-range (nearly
-/// always 0–1 entries); level-1 buckets span 131 µs and can hold a
-/// longer mixed-deadline list, so the search gives up rather than
-/// scan it — fusion is an optimization, never a requirement.
-const FUSE_SCAN: usize = 16;
-
-/// Bounded search of a bucket list for a live slot firing at exactly
-/// `time` (a same-deadline fusion target).
-#[inline]
-fn find_coincident<E>(slots: &[Slot<E>], head: u32, time: SimTime) -> Option<u32> {
-    let mut cur = head;
-    let mut budget = FUSE_SCAN;
-    while cur != NIL && budget > 0 {
-        let s = &slots[cur as usize];
-        if s.time == time {
-            return Some(cur);
-        }
-        budget -= 1;
-        cur = s.next;
-    }
-    None
-}
-
 /// Finds the first set bit at or after `start` (wrapping) in a bitmap.
 #[inline]
 fn find_set_from(mask: &[u64], start: usize) -> Option<usize> {
@@ -517,21 +395,15 @@ fn list_unlink<E>(slots: &mut [Slot<E>], head: &mut u32, prev: u32, slot: u32) {
     }
 }
 
-enum Core {
-    Heap(BinaryHeap<Entry>),
-    Wheel(Box<Wheel>),
-}
-
 /// A time-ordered queue of events of type `E`.
 pub struct EventQueue<E> {
-    core: Core,
+    wheel: Box<Wheel>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
     next_seq: u64,
     /// Pending (non-cancelled) events.
     live: usize,
-    /// Cancelled entries still physically queued (heap backend, or the
-    /// wheel's overflow heap).
+    /// Cancelled entries still parked in the overflow heap.
     cancelled: usize,
     now: SimTime,
     /// Generation stamp for slots created by slab growth. Zero until
@@ -542,12 +414,6 @@ pub struct EventQueue<E> {
     gen_floor: u64,
     /// Largest slab length ever reached, surviving compaction.
     slab_hwm: usize,
-    /// Spare fused-member storage from retired slots. Which slot hosts
-    /// the next fusion is arbitrary (free-list order), so storage kept
-    /// per slot would be allocated again whenever a fusion lands on a
-    /// slot that never hosted one; pooled, the allocations are bounded
-    /// by the peak number of fused slots alive at once.
-    fused_pool: Vec<Vec<(u64, E)>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -557,13 +423,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero, with the backend selected
-    /// by `TAICHI_QUEUE` (the timing wheel unless overridden).
-    pub fn new() -> Self {
-        Self::with_backend(QueueBackend::from_env())
-    }
-
-    /// Creates an empty queue at time zero on an explicit backend.
+    /// Creates an empty queue at time zero.
     ///
     /// Reserves the full [`INITIAL_SLOTS`] slab: a realloc mid-run is
     /// a steady-state allocation the hot loop is audited against (see
@@ -574,39 +434,33 @@ impl<E> EventQueue<E> {
     /// machines peak at a few hundred in-flight events, so 1024 slots
     /// leave ample headroom without meaningful memory cost — *for one
     /// hot machine*. Fleet drivers standing up thousands of mostly-idle
-    /// machines use [`EventQueue::with_backend_and_slots`] with a small
-    /// reservation instead and let the slab grow to each machine's
-    /// actual working set.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let mut q = Self::with_backend_and_slots(backend, INITIAL_SLOTS);
+    /// machines use [`EventQueue::with_slots`] with a small reservation
+    /// instead and let the slab grow to each machine's actual working
+    /// set.
+    pub fn new() -> Self {
+        let mut q = Self::with_slots(INITIAL_SLOTS);
         q.prewarm();
         q
     }
 
-    /// Materializes every wheel bucket-head chunk up front (no-op on
-    /// the heap backend) so the steady-state loop never allocates one
-    /// mid-run — the hot-profile companion to the eager
-    /// [`INITIAL_SLOTS`] slab. Purely a storage decision: the chunks
-    /// hold only [`NIL`] heads, identical to absent chunks.
+    /// Materializes every wheel bucket-head chunk up front so the
+    /// steady-state loop never allocates one mid-run — the hot-profile
+    /// companion to the eager [`INITIAL_SLOTS`] slab. Purely a storage
+    /// decision: the chunks hold only [`NIL`] heads, identical to
+    /// absent chunks.
     pub fn prewarm(&mut self) {
-        if let Core::Wheel(wheel) = &mut self.core {
-            wheel.l0_head.materialize_all();
-            wheel.l1_head.materialize_all();
-        }
+        self.wheel.l0_head.materialize_all();
+        self.wheel.l1_head.materialize_all();
     }
 
-    /// Creates an empty queue at time zero on an explicit backend with
-    /// an explicit initial slab reservation. The slab still grows on
-    /// demand — `initial_slots` only sets where growth starts, so every
-    /// observable (pop order, cancel results, `peek_time`) is identical
-    /// for any value.
-    pub fn with_backend_and_slots(backend: QueueBackend, initial_slots: usize) -> Self {
-        let core = match backend {
-            QueueBackend::Heap => Core::Heap(BinaryHeap::new()),
-            QueueBackend::Wheel => Core::Wheel(Wheel::new()),
-        };
+    /// Creates an empty queue at time zero with an explicit initial
+    /// slab reservation and no prewarmed bucket chunks. The slab still
+    /// grows on demand — `initial_slots` only sets where growth starts,
+    /// so every observable (pop order, cancel results, `peek_time`) is
+    /// identical for any value.
+    pub fn with_slots(initial_slots: usize) -> Self {
         EventQueue {
-            core,
+            wheel: Wheel::new(),
             slots: Vec::with_capacity(initial_slots),
             free: Vec::with_capacity(initial_slots),
             next_seq: 0,
@@ -615,15 +469,6 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             gen_floor: 0,
             slab_hwm: 0,
-            fused_pool: Vec::new(),
-        }
-    }
-
-    /// The scheduling core this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match self.core {
-            Core::Heap(_) => QueueBackend::Heap,
-            Core::Wheel(_) => QueueBackend::Wheel,
         }
     }
 
@@ -665,37 +510,6 @@ impl<E> EventQueue<E> {
         let time = time.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        // Same-deadline fusion (wheel levels): a live slot already
-        // firing at exactly `time` absorbs the new event as a member
-        // instead of costing a fresh slab slot and bucket node.
-        // Members carry strictly increasing sequence numbers (the
-        // global counter only grows), so a push keeps the list sorted.
-        if let Core::Wheel(wheel) = &self.core {
-            let t = time.as_nanos();
-            let head = if t < wheel.l0_end {
-                Some(wheel.l0_head.get(Wheel::l0_bucket(t)))
-            } else if t < wheel.h1() {
-                Some(wheel.l1_head.get(Wheel::l1_bucket(t)))
-            } else {
-                None
-            };
-            if let Some(host) = head.and_then(|h| find_coincident(&self.slots, h, time)) {
-                let s = &mut self.slots[host as usize];
-                if s.fused.capacity() == 0 {
-                    if let Some(spare) = self.fused_pool.pop() {
-                        s.fused = spare;
-                    }
-                }
-                s.fused.push((seq, event));
-                let generation = s.generation;
-                self.live += 1;
-                return EventToken {
-                    slot: host,
-                    generation,
-                    seq,
-                };
-            }
-        }
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -713,32 +527,23 @@ impl<E> EventQueue<E> {
                     seq,
                     next: NIL,
                     event: Some(event),
-                    fused: Vec::new(),
                 });
                 (self.slots.len() - 1) as u32
             }
         };
         let generation = self.slots[slot as usize].generation;
-        match &mut self.core {
-            Core::Heap(heap) => heap.push(Entry { time, seq, slot }),
-            Core::Wheel(wheel) => {
-                let t = time.as_nanos();
-                if t < wheel.l0_end {
-                    l0_link(wheel, &mut self.slots, slot);
-                } else if t < wheel.h1() {
-                    l1_link(wheel, &mut self.slots, slot);
-                } else {
-                    wheel.overflow.push(Entry { time, seq, slot });
-                    self.slots[slot as usize].loc = LOC_OVERFLOW;
-                }
-            }
+        let wheel = &mut *self.wheel;
+        let t = time.as_nanos();
+        if t < wheel.l0_end {
+            l0_link(wheel, &mut self.slots, slot);
+        } else if t < wheel.h1() {
+            l1_link(wheel, &mut self.slots, slot);
+        } else {
+            wheel.overflow.push(Entry { time, seq, slot });
+            self.slots[slot as usize].loc = LOC_OVERFLOW;
         }
         self.live += 1;
-        EventToken {
-            slot,
-            generation,
-            seq,
-        }
+        EventToken { slot, generation }
     }
 
     /// Cancels a previously scheduled event.
@@ -746,9 +551,7 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the token had not already fired or been
     /// cancelled. Cancelling an already-fired token is a no-op (and
     /// records nothing: the slot generation moved on, so the stale
-    /// token cannot leave residue). Identical return values on both
-    /// backends; only the disposal strategy differs (see
-    /// [`EventQueue::cancelled_backlog`]).
+    /// token cannot leave residue).
     pub fn cancel(&mut self, token: EventToken) -> bool {
         let Some(slot) = self.slots.get_mut(token.slot as usize) else {
             return false;
@@ -756,125 +559,64 @@ impl<E> EventQueue<E> {
         if slot.generation != token.generation || slot.cancelled {
             return false;
         }
-        // Fused slots (wheel levels) map several tokens to one slot,
-        // distinguished by sequence number: the front member keys the
-        // slot, the rest live in `fused`.
-        if token.seq != slot.seq {
-            let Some(i) = slot.fused.iter().position(|&(s, _)| s == token.seq) else {
-                // The member already popped (the slot was re-keyed past
-                // it): the token is stale, exactly like a fired
-                // singleton, so record nothing.
-                return false;
-            };
-            slot.fused.remove(i);
+        let loc = slot.loc;
+        if loc == LOC_OVERFLOW {
+            slot.cancelled = true;
             self.live -= 1;
+            self.cancelled += 1;
+            self.sweep_overflow_top();
             return true;
         }
-        if !slot.fused.is_empty() {
-            // Cancelling the front member of a fused slot: promote the
-            // next member into the key. The deadline is unchanged, so
-            // the slot stays where it is linked; only the sequence
-            // number moves forward.
-            let (seq, event) = slot.fused.remove(0);
-            slot.seq = seq;
-            slot.event = Some(event);
-            self.live -= 1;
-            return true;
+        // The slab knows the bucket: remove eagerly so no cancelled
+        // entry ever sits in the wheel proper. (`slot_mut` cannot
+        // allocate here — the entry is linked into the bucket, so its
+        // chunk exists.)
+        let wheel = &mut *self.wheel;
+        let (head, mask, count, b) = if (loc as usize) < N0 {
+            let b = loc as usize;
+            (
+                wheel.l0_head.slot_mut(b),
+                &mut wheel.l0_mask[..],
+                &mut wheel.l0_count,
+                b,
+            )
+        } else {
+            let b = loc as usize - N0;
+            (
+                wheel.l1_head.slot_mut(b),
+                &mut wheel.l1_mask[..],
+                &mut wheel.l1_count,
+                b,
+            )
+        };
+        let mut prev = NIL;
+        let mut cur = *head;
+        while cur != token.slot {
+            debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
+            prev = cur;
+            cur = self.slots[cur as usize].next;
         }
-        match &mut self.core {
-            Core::Heap(_) => {
-                slot.cancelled = true;
-                self.live -= 1;
-                self.cancelled += 1;
-                // Keep the heap-top-is-live invariant (peek_time is a
-                // plain `&self` read).
-                self.sweep_heap_top();
-            }
-            Core::Wheel(wheel) => {
-                let loc = slot.loc;
-                if loc == LOC_OVERFLOW {
-                    slot.cancelled = true;
-                    self.live -= 1;
-                    self.cancelled += 1;
-                    self.sweep_overflow_top();
-                } else {
-                    // The slab knows the bucket: remove eagerly so no
-                    // cancelled entry ever sits in the wheel proper.
-                    // (`slot_mut` cannot allocate here — the entry is
-                    // linked into the bucket, so its chunk exists.)
-                    let (head, mask, count, b) = if (loc as usize) < N0 {
-                        let b = loc as usize;
-                        (
-                            wheel.l0_head.slot_mut(b),
-                            &mut wheel.l0_mask[..],
-                            &mut wheel.l0_count,
-                            b,
-                        )
-                    } else {
-                        let b = loc as usize - N0;
-                        (
-                            wheel.l1_head.slot_mut(b),
-                            &mut wheel.l1_mask[..],
-                            &mut wheel.l1_count,
-                            b,
-                        )
-                    };
-                    let mut prev = NIL;
-                    let mut cur = *head;
-                    while cur != token.slot {
-                        debug_assert_ne!(cur, NIL, "slab loc tracks the live bucket");
-                        prev = cur;
-                        cur = self.slots[cur as usize].next;
-                    }
-                    list_unlink(&mut self.slots, head, prev, token.slot);
-                    if *head == NIL {
-                        clear_bit(mask, b);
-                    }
-                    *count -= 1;
-                    self.live -= 1;
-                    self.retire_slot(token.slot);
-                    // The removal may have emptied both wheel levels,
-                    // promoting the overflow top to global front: it
-                    // must be live (`peek_time` relies on it), and a
-                    // cancelled entry parked there would hold its slot
-                    // until the next window advance.
-                    let Core::Wheel(wheel) = &self.core else {
-                        unreachable!()
-                    };
-                    if wheel.l0_count == 0 && wheel.l1_count == 0 {
-                        self.sweep_overflow_top();
-                    }
-                }
-            }
+        list_unlink(&mut self.slots, head, prev, token.slot);
+        if *head == NIL {
+            clear_bit(mask, b);
         }
+        *count -= 1;
+        self.live -= 1;
+        self.free_slot(token.slot);
+        // The removal may have emptied both wheel levels, promoting the
+        // overflow top to global front: it must be live (`peek_time`
+        // relies on it), and a cancelled entry parked there would hold
+        // its slot until the next window advance.
+        self.sweep_overflow_if_front();
         true
     }
 
     /// Pops the next non-cancelled event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.core {
-            Core::Heap(_) => loop {
-                let Core::Heap(heap) = &mut self.core else {
-                    unreachable!()
-                };
-                let entry = heap.pop()?;
-                let (was_cancelled, event) = self.retire_queued(entry.slot);
-                if was_cancelled {
-                    continue; // was cancelled; discard and keep looking
-                }
-                self.live -= 1;
-                self.now = entry.time;
-                self.sweep_heap_top();
-                let event = event.expect("live slot owns its payload");
-                return Some((entry.time, event));
-            },
-            Core::Wheel(_) => {
-                let (time, _, event) = self.wheel_pop_min(SimTime::MAX).ok()?;
-                self.live -= 1;
-                self.now = time;
-                Some((time, event))
-            }
-        }
+        let (time, _, event) = self.pop_min(SimTime::MAX).ok()?;
+        self.live -= 1;
+        self.now = time;
+        Some((time, event))
     }
 
     /// Drains **every** event at the earliest pending timestamp (if
@@ -893,8 +635,8 @@ impl<E> EventQueue<E> {
     /// before `front`, so a caller can keep it as a lower bound and
     /// skip the queue for anything earlier.
     ///
-    /// On the wheel backend a same-timestamp burst costs one bucket
-    /// scan total instead of one per event.
+    /// A same-timestamp burst costs one bucket scan total instead of
+    /// one per event.
     ///
     /// Entries appended to `out` leave the queue at drain time, so
     /// their tokens go stale immediately: a handler that cancels a
@@ -908,128 +650,75 @@ impl<E> EventQueue<E> {
         limit: SimTime,
         out: &mut Vec<(u64, E)>,
     ) -> Result<SimTime, SimTime> {
-        match &mut self.core {
-            Core::Heap(heap) => {
-                // The heap top is always live (sweep invariant), and
-                // same-time entries pop in seq order.
-                let at = match heap.peek() {
-                    None => return Err(SimTime::MAX),
-                    Some(top) if top.time > limit => return Err(top.time),
-                    Some(top) => top.time,
-                };
-                self.now = at;
-                loop {
-                    let Core::Heap(heap) = &mut self.core else {
-                        unreachable!()
-                    };
-                    if heap.peek().map(|e| e.time != at).unwrap_or(true) {
-                        break;
-                    }
-                    let entry = heap.pop().expect("peeked non-empty");
-                    let (_, event) = self.retire_queued(entry.slot);
-                    self.live -= 1;
-                    out.push((entry.seq, event.expect("live slot owns its payload")));
-                    self.sweep_heap_top();
-                }
-                Ok(at)
-            }
-            Core::Wheel(_) => {
-                let (at, seq, event) = self.wheel_pop_min(limit)?;
-                self.live -= 1;
-                self.now = at;
-                out.push((seq, event));
-                // Same-timestamp events necessarily share the level-0
-                // bucket: drain them without rescanning the bitmap.
-                // While the bucket minimum still fires at `at`, it is
-                // the next-in-seq event of the batch (a fused slot
-                // stays put shedding one member per iteration, keyed
-                // by its next member, so interleave with other
-                // same-time slots falls out of the min-scan).
-                let b = Wheel::l0_bucket(at.as_nanos());
-                loop {
-                    let Core::Wheel(wheel) = &mut self.core else {
-                        unreachable!()
-                    };
-                    let head = wheel.l0_head.get(b);
-                    if head == NIL {
-                        break;
-                    }
-                    let (prev, min) = list_min(&self.slots, head);
-                    if self.slots[min as usize].time != at {
-                        break;
-                    }
-                    let entry = self.wheel_take_l0(b, prev, min);
-                    self.live -= 1;
-                    out.push(entry);
-                }
-                // Same front-is-live repair as `wheel_pop_min`: the
-                // batch may have drained the last level entries.
-                let Core::Wheel(wheel) = &self.core else {
-                    unreachable!()
-                };
-                if wheel.l0_count == 0 && wheel.l1_count == 0 {
-                    self.sweep_overflow_top();
-                }
-                Ok(at)
-            }
-        }
-    }
-
-    /// Returns the time of the next pending event without popping it.
-    ///
-    /// Heap backend: the top is never cancelled (`pop` and `cancel`
-    /// sweep), so this is a plain O(1) read. Wheel backend: a read-only
-    /// bucket scan (no cancelled entry ever sits in the wheel, and the
-    /// overflow top is kept live by the same sweeps).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.core {
-            Core::Heap(heap) => {
-                debug_assert!(heap
-                    .peek()
-                    .map(|e| !self.slots[e.slot as usize].cancelled)
-                    .unwrap_or(true));
-                heap.peek().map(|e| e.time)
-            }
-            Core::Wheel(wheel) => {
-                if wheel.l0_count > 0 {
-                    let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
-                    let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
-                    let (_, min) = list_min(&self.slots, wheel.l0_head.get(b));
-                    return Some(self.slots[min as usize].time);
-                }
-                if wheel.l1_count > 0 {
-                    // The global minimum is in the first occupied
-                    // level-1 bucket in ring order from the window
-                    // (bucket time-ranges are monotone from there, and
-                    // all overflow times are larger still).
-                    let start = Wheel::l1_bucket(wheel.l0_end);
-                    let b = find_set_from(&wheel.l1_mask, start).expect("l1_count > 0");
-                    let (_, min) = list_min(&self.slots, wheel.l1_head.get(b));
-                    return Some(self.slots[min as usize].time);
-                }
-                debug_assert!(wheel
-                    .overflow
-                    .peek()
-                    .map(|e| !self.slots[e.slot as usize].cancelled)
-                    .unwrap_or(true));
-                wheel.overflow.peek().map(|e| e.time)
-            }
-        }
-    }
-
-    /// Wheel backend: removes and returns `(time, seq, event)` of the
-    /// minimum entry if its time is `<= limit`, advancing the level-0
-    /// window (draining level-1 buckets, promoting overflow entries)
-    /// as needed. Advancing only happens when the result is actually
-    /// popped — an `Err` return leaves the window untouched, so `now`
-    /// can never fall behind the level-0 coverage. `Err` carries the
-    /// minimum time seen ([`SimTime::MAX`] when empty). Does not touch
-    /// `self.live`; callers account for the removed event.
-    fn wheel_pop_min(&mut self, limit: SimTime) -> Result<(SimTime, u64, E), SimTime> {
+        let (at, seq, event) = self.pop_min(limit)?;
+        self.live -= 1;
+        self.now = at;
+        out.push((seq, event));
+        // Same-timestamp events necessarily share the level-0 bucket:
+        // drain them without rescanning the bitmap. While the bucket
+        // minimum still fires at `at`, it is the next-in-seq event of
+        // the batch.
+        let b = Wheel::l0_bucket(at.as_nanos());
         loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!("wheel_pop_min on heap backend")
-            };
+            let head = self.wheel.l0_head.get(b);
+            if head == NIL {
+                break;
+            }
+            let (prev, min) = list_min(&self.slots, head);
+            if self.slots[min as usize].time != at {
+                break;
+            }
+            let entry = self.take_l0(b, prev, min);
+            self.live -= 1;
+            out.push(entry);
+        }
+        // Same front-is-live repair as `pop_min`: the batch may have
+        // drained the last level entries.
+        self.sweep_overflow_if_front();
+        Ok(at)
+    }
+
+    /// Returns the time of the next pending event without popping it:
+    /// a read-only bucket scan (no cancelled entry ever sits in the
+    /// wheel levels, and the overflow top is kept live by the sweeps in
+    /// `pop` and `cancel`).
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let wheel = &*self.wheel;
+        if wheel.l0_count > 0 {
+            let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
+            let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
+            let (_, min) = list_min(&self.slots, wheel.l0_head.get(b));
+            return Some(self.slots[min as usize].time);
+        }
+        if wheel.l1_count > 0 {
+            // The global minimum is in the first occupied level-1
+            // bucket in ring order from the window (bucket time-ranges
+            // are monotone from there, and all overflow times are
+            // larger still).
+            let start = Wheel::l1_bucket(wheel.l0_end);
+            let b = find_set_from(&wheel.l1_mask, start).expect("l1_count > 0");
+            let (_, min) = list_min(&self.slots, wheel.l1_head.get(b));
+            return Some(self.slots[min as usize].time);
+        }
+        debug_assert!(wheel
+            .overflow
+            .peek()
+            .map(|e| !self.slots[e.slot as usize].cancelled)
+            .unwrap_or(true));
+        wheel.overflow.peek().map(|e| e.time)
+    }
+
+    /// Removes and returns `(time, seq, event)` of the minimum entry if
+    /// its time is `<= limit`, advancing the level-0 window (draining
+    /// level-1 buckets, promoting overflow entries) as needed.
+    /// Advancing only happens when the result is actually popped — an
+    /// `Err` return leaves the window untouched, so `now` can never
+    /// fall behind the level-0 coverage. `Err` carries the minimum time
+    /// seen ([`SimTime::MAX`] when empty). Does not touch `self.live`;
+    /// callers account for the removed event.
+    fn pop_min(&mut self, limit: SimTime) -> Result<(SimTime, u64, E), SimTime> {
+        loop {
+            let wheel = &*self.wheel;
             if wheel.l0_count > 0 {
                 let start = Wheel::l0_bucket(self.now.as_nanos().max(wheel.l0_end - G1));
                 let b = find_set_from(&wheel.l0_mask, start).expect("l0_count > 0");
@@ -1038,16 +727,11 @@ impl<E> EventQueue<E> {
                 if time > limit {
                     return Err(time);
                 }
-                let (seq, event) = self.wheel_take_l0(b, prev, min);
-                let Core::Wheel(wheel) = &self.core else {
-                    unreachable!()
-                };
-                if wheel.l0_count == 0 && wheel.l1_count == 0 {
-                    // The popped entry was the last one in the wheel
-                    // proper: the overflow top is the front now, so
-                    // discard any cancelled run sitting on it.
-                    self.sweep_overflow_top();
-                }
+                let (seq, event) = self.take_l0(b, prev, min);
+                // If that was the last entry in the wheel proper, the
+                // overflow top is the front now: discard any cancelled
+                // run sitting on it.
+                self.sweep_overflow_if_front();
                 return Ok((time, seq, event));
             }
             if wheel.l1_count > 0 {
@@ -1069,57 +753,34 @@ impl<E> EventQueue<E> {
                 // steps from the current window position).
                 let steps = (b + N1 - cur) % N1;
                 let new_end = wheel.l0_end + (steps as u64 + 1) * G1;
-                self.wheel_advance_to(new_end);
+                self.advance_to(new_end);
                 continue;
             }
             // Both wheel levels empty: jump to the overflow minimum.
             self.sweep_overflow_top();
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!()
-            };
-            let Some(head) = wheel.overflow.peek() else {
+            let Some(head) = self.wheel.overflow.peek() else {
                 return Err(SimTime::MAX);
             };
             if head.time > limit {
                 return Err(head.time);
             }
             let t = head.time.as_nanos();
-            let new_end = (t >> G1_BITS << G1_BITS) + G1;
-            self.wheel_advance_to(new_end);
+            self.advance_to((t >> G1_BITS << G1_BITS) + G1);
         }
     }
 
-    /// Removes the front member of the level-0 entry `slot` (bucket
-    /// `b`, list predecessor `prev`): a fused slot sheds one member and
-    /// stays linked, re-keyed to its next member's sequence number; a
-    /// singleton is unlinked from the bucket and its slab slot retired.
-    /// Returns the removed `(seq, event)`. `self.live` is the caller's
-    /// job.
-    fn wheel_take_l0(&mut self, b: usize, prev: u32, slot: u32) -> (u64, E) {
-        let s = &mut self.slots[slot as usize];
-        let front_seq = s.seq;
-        if !s.fused.is_empty() {
-            let (seq, next_ev) = s.fused.remove(0);
-            s.seq = seq;
-            let event = s
-                .event
-                .replace(next_ev)
-                .expect("fused front member owns a payload");
-            return (front_seq, event);
-        }
-        let Core::Wheel(wheel) = &mut self.core else {
-            unreachable!()
-        };
+    /// Unlinks the level-0 entry `slot` (bucket `b`, list predecessor
+    /// `prev`) and retires its slab slot, returning its
+    /// `(seq, event)`. `self.live` is the caller's job.
+    fn take_l0(&mut self, b: usize, prev: u32, slot: u32) -> (u64, E) {
+        let wheel = &mut *self.wheel;
         list_unlink(&mut self.slots, wheel.l0_head.slot_mut(b), prev, slot);
         if wheel.l0_head.get(b) == NIL {
             clear_bit(&mut wheel.l0_mask, b);
         }
         wheel.l0_count -= 1;
-        let (_, event) = self.retire_queued(slot);
-        (
-            front_seq,
-            event.expect("wheel entries are never cancelled in place"),
-        )
+        let seq = self.slots[slot as usize].seq;
+        (seq, self.free_slot(slot))
     }
 
     /// Moves the level-0 window forward so that its exclusive end is
@@ -1137,14 +798,9 @@ impl<E> EventQueue<E> {
     /// from an occupied level-1 bucket or from the overflow minimum:
     /// every overflow time is `>= new_end - G1`, so a promoted entry
     /// can never land behind the hopped window.
-    fn wheel_advance_to(&mut self, new_end: u64) {
-        loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                unreachable!()
-            };
-            if wheel.l0_end >= new_end {
-                break;
-            }
+    fn advance_to(&mut self, new_end: u64) {
+        while self.wheel.l0_end < new_end {
+            let wheel = &mut *self.wheel;
             // Hop straight to the next occupied level-1 bucket (ring
             // order from the window position); everything before it is
             // provably empty calendar.
@@ -1190,113 +846,77 @@ impl<E> EventQueue<E> {
             // loop: a promoted entry may land in a bucket the window
             // still has to pass, and the next iteration's bitmap scan
             // drains it.)
-            let h1 = wheel.h1();
-            while let Some(head) = wheel.overflow.peek() {
-                if head.time.as_nanos() >= h1 {
+            let h1 = self.wheel.h1();
+            while let Some(&entry) = self.wheel.overflow.peek() {
+                if entry.time.as_nanos() >= h1 {
                     break;
                 }
-                let entry = wheel.overflow.pop().expect("peeked non-empty");
-                let slot = entry.slot;
-                if self.slots[slot as usize].cancelled {
-                    // Lazily cancelled while parked in overflow:
-                    // retire the slot in place (inlined so the wheel
-                    // borrow from `self.core` stays disjoint).
-                    self.cancelled -= 1;
-                    let s = &mut self.slots[slot as usize];
-                    s.retire(&mut self.fused_pool);
-                    s.cancelled = false;
-                    s.event = None;
-                    self.free.push(slot);
-                    continue;
-                }
-                if entry.time.as_nanos() < wheel.l0_end {
-                    l0_link(wheel, &mut self.slots, slot);
+                self.wheel.overflow.pop();
+                if self.slots[entry.slot as usize].cancelled {
+                    // Lazily cancelled while parked in overflow.
+                    self.free_slot(entry.slot);
+                } else if entry.time.as_nanos() < self.wheel.l0_end {
+                    l0_link(&mut self.wheel, &mut self.slots, entry.slot);
                 } else {
-                    l1_link(wheel, &mut self.slots, slot);
+                    l1_link(&mut self.wheel, &mut self.slots, entry.slot);
                 }
             }
         }
     }
 
-    /// Retires the slab slot of an entry leaving the queue structure,
-    /// returning whether it had been (lazily) cancelled plus the
-    /// payload the slot owned.
-    fn retire_queued(&mut self, slot: u32) -> (bool, Option<E>) {
+    /// Returns `slot` to the free list, invalidating its outstanding
+    /// tokens and settling its cancel flag, and hands back the payload
+    /// it owned.
+    fn free_slot(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
-        s.retire(&mut self.fused_pool);
-        let event = s.event.take();
-        let was_cancelled = std::mem::replace(&mut s.cancelled, false);
-        if was_cancelled {
+        s.generation += 1;
+        s.loc = LOC_NONE;
+        s.next = NIL;
+        if std::mem::take(&mut s.cancelled) {
             self.cancelled -= 1;
         }
+        let event = s.event.take().expect("queued slot owns its payload");
         self.free.push(slot);
-        (was_cancelled, event)
+        event
     }
 
-    /// Frees `slot` for reuse, invalidating outstanding tokens (eager
-    /// wheel cancellation: the entry is already out of the structure).
-    fn retire_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.retire(&mut self.fused_pool);
-        s.cancelled = false;
-        s.event = None;
-        self.free.push(slot);
-    }
-
-    /// Discards cancelled entries sitting at the heap top so that the
-    /// top is always live (heap backend).
-    fn sweep_heap_top(&mut self) {
-        loop {
-            let Core::Heap(heap) = &mut self.core else {
-                return;
-            };
-            let Some(top) = heap.peek() else { return };
+    /// Discards cancelled entries sitting at the overflow-heap top, so
+    /// overflow peeks always see a live entry.
+    fn sweep_overflow_top(&mut self) {
+        while let Some(&top) = self.wheel.overflow.peek() {
             if !self.slots[top.slot as usize].cancelled {
                 return;
             }
-            let entry = heap.pop().expect("peeked non-empty");
-            self.retire_queued(entry.slot);
+            self.wheel.overflow.pop();
+            self.free_slot(top.slot);
         }
     }
 
-    /// Discards cancelled entries sitting at the overflow-heap top
-    /// (wheel backend), so overflow peeks always see a live entry.
-    fn sweep_overflow_top(&mut self) {
-        loop {
-            let Core::Wheel(wheel) = &mut self.core else {
-                return;
-            };
-            let Some(top) = wheel.overflow.peek() else {
-                return;
-            };
-            if !self.slots[top.slot as usize].cancelled {
-                return;
-            }
-            let entry = wheel.overflow.pop().expect("peeked non-empty");
-            self.retire_queued(entry.slot);
+    /// [`EventQueue::sweep_overflow_top`] once both wheel levels are
+    /// empty, i.e. once the overflow top is the global front.
+    #[inline]
+    fn sweep_overflow_if_front(&mut self) {
+        if self.wheel.l0_count == 0 && self.wheel.l1_count == 0 {
+            self.sweep_overflow_top();
         }
     }
 
     /// Releases memory retained past the current working set: trailing
-    /// free slab slots (and their spare capacity), the overflow/heap
-    /// storage's spare capacity, and bucket-head chunks whose buckets
-    /// are all empty. Bounded by the structures' current sizes and
-    /// observably inert — pop order, cancel results, and `peek_time`
-    /// are identical with or without the call — so fleet drivers can
-    /// invoke it after a storm peak without disturbing byte-identity.
-    /// Stale tokens referencing truncated slots stay dead: out-of-range
-    /// slots report the usual recorded-nothing `false`, and regrown
-    /// slots start above every truncated generation (`gen_floor`).
+    /// free slab slots (and their spare capacity), the overflow heap's
+    /// spare capacity, and bucket-head chunks whose buckets are all
+    /// empty. Bounded by the structures' current sizes and observably
+    /// inert — pop order, cancel results, and `peek_time` are identical
+    /// with or without the call — so fleet drivers can invoke it after
+    /// a storm peak without disturbing byte-identity. Stale tokens
+    /// referencing truncated slots stay dead: out-of-range slots report
+    /// the usual recorded-nothing `false`, and regrown slots start
+    /// above every truncated generation (`gen_floor`).
     pub fn compact(&mut self) {
         self.slab_hwm = self.slab_hwm.max(self.slots.len());
-        match &mut self.core {
-            Core::Heap(heap) => heap.shrink_to_fit(),
-            Core::Wheel(wheel) => {
-                wheel.overflow.shrink_to_fit();
-                wheel.l0_head.release_empty(&wheel.l0_mask);
-                wheel.l1_head.release_empty(&wheel.l1_mask);
-            }
-        }
+        let wheel = &mut *self.wheel;
+        wheel.overflow.shrink_to_fit();
+        wheel.l0_head.release_empty(&wheel.l0_mask);
+        wheel.l1_head.release_empty(&wheel.l1_mask);
         // Drop the free tail of the slab: slots at the end that hold no
         // queued entry can go, and the free list forgets them. Interior
         // free slots stay (their indices are linked into live bucket
@@ -1322,7 +942,6 @@ impl<E> EventQueue<E> {
         }
         self.slots.shrink_to_fit();
         self.free.shrink_to_fit();
-        self.fused_pool = Vec::new();
     }
 
     /// Largest slab length ever reached (slots, not bytes), surviving
@@ -1333,21 +952,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Approximate resident bytes held by the queue's own structures
-    /// (slab, free list, heap storage, materialized bucket chunks).
-    /// Fused-member spill and payload-internal allocations are not
-    /// counted.
+    /// (slab, free list, overflow heap, materialized bucket chunks).
+    /// Payload-internal allocations are not counted.
     pub fn resident_bytes(&self) -> usize {
         let slab = self.slots.capacity() * std::mem::size_of::<Slot<E>>();
         let free = self.free.capacity() * std::mem::size_of::<u32>();
-        let core = match &self.core {
-            Core::Heap(heap) => heap.capacity() * std::mem::size_of::<Entry>(),
-            Core::Wheel(wheel) => {
-                wheel.overflow.capacity() * std::mem::size_of::<Entry>()
-                    + wheel.l0_head.resident_bytes()
-                    + wheel.l1_head.resident_bytes()
-            }
-        };
-        slab + free + core
+        let wheel = self.wheel.overflow.capacity() * std::mem::size_of::<Entry>()
+            + self.wheel.l0_head.resident_bytes()
+            + self.wheel.l1_head.resident_bytes();
+        slab + free + wheel
     }
 
     /// Number of pending (non-cancelled) events.
@@ -1355,10 +968,9 @@ impl<E> EventQueue<E> {
         self.live
     }
 
-    /// Cancellation records not yet swept out of the queue structures
+    /// Cancellation records not yet swept out of the overflow heap
     /// (diagnostics; always bounded by the number of queued entries).
-    /// Backend-dependent: the heap cancels lazily everywhere, the
-    /// wheel only in its overflow heap.
+    /// Cancels inside the two wheel levels are eager and never count.
     pub fn cancelled_backlog(&self) -> usize {
         self.cancelled
     }
@@ -1374,94 +986,78 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
-
     #[test]
     fn pops_in_time_order() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(30), "c");
-            q.schedule(SimTime::from_nanos(10), "a");
-            q.schedule(SimTime::from_nanos(20), "b");
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec!["a", "b", "c"], "{be:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(30), "c");
+        q.schedule(SimTime::from_nanos(10), "a");
+        q.schedule(SimTime::from_nanos(20), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_fifo() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = SimTime::from_nanos(5);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{be:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        for i in 0..100 {
+            q.schedule(t, i);
         }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn now_advances_with_pops() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(42), ());
-            assert_eq!(q.now(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.now(), SimTime::from_nanos(42), "{be:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(42), ());
+        assert_eq!(q.now(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.now(), SimTime::from_nanos(42));
     }
 
     #[test]
     fn cancellation_skips_event() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t1 = q.schedule(SimTime::from_nanos(10), "a");
-            q.schedule(SimTime::from_nanos(20), "b");
-            assert!(q.cancel(t1));
-            assert_eq!(q.pop().map(|(_, e)| e), Some("b"), "{be:?}");
-            assert!(q.pop().is_none());
-        }
+        let mut q = EventQueue::new();
+        let t1 = q.schedule(SimTime::from_nanos(10), "a");
+        q.schedule(SimTime::from_nanos(20), "b");
+        assert!(q.cancel(t1));
+        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        assert!(q.pop().is_none());
     }
 
     #[test]
     fn double_cancel_is_false() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = q.schedule(SimTime::from_nanos(10), ());
-            assert!(q.cancel(t));
-            assert!(!q.cancel(t), "{be:?}");
-        }
+        let mut q = EventQueue::new();
+        let t = q.schedule(SimTime::from_nanos(10), ());
+        assert!(q.cancel(t));
+        assert!(!q.cancel(t));
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = q.schedule(SimTime::from_nanos(10), ());
-            q.pop();
-            // The token already fired: per the documented contract the
-            // cancel reports failure and records nothing.
-            assert!(!q.cancel(t), "{be:?}");
-            assert_eq!(q.cancelled_backlog(), 0);
-            q.schedule(SimTime::from_nanos(20), ());
-            assert!(q.pop().is_some());
-        }
+        let mut q = EventQueue::new();
+        let t = q.schedule(SimTime::from_nanos(10), ());
+        q.pop();
+        // The token already fired: per the documented contract the
+        // cancel reports failure and records nothing.
+        assert!(!q.cancel(t));
+        assert_eq!(q.cancelled_backlog(), 0);
+        q.schedule(SimTime::from_nanos(20), ());
+        assert!(q.pop().is_some());
     }
 
     #[test]
     fn stale_token_does_not_cancel_slot_reuse() {
         // The slot of a fired event is recycled for the next schedule;
         // the old (stale) token must not cancel the new occupant.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let old = q.schedule(SimTime::from_nanos(10), 1);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-            let fresh = q.schedule(SimTime::from_nanos(20), 2);
-            assert!(!q.cancel(old), "{be:?}: stale token must be dead");
-            assert_eq!(q.pop().map(|(_, e)| e), Some(2), "new occupant survives");
-            assert!(!q.cancel(fresh), "fired token is dead too");
-        }
+        let mut q = EventQueue::new();
+        let old = q.schedule(SimTime::from_nanos(10), 1);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(1));
+        let fresh = q.schedule(SimTime::from_nanos(20), 2);
+        assert!(!q.cancel(old), "stale token must be dead");
+        assert_eq!(q.pop().map(|(_, e)| e), Some(2), "new occupant survives");
+        assert!(!q.cancel(fresh), "fired token is dead too");
     }
 
     #[test]
@@ -1469,42 +1065,25 @@ mod tests {
         // Regression: cancelling tokens after their events popped used
         // to grow the cancelled set without bound (nothing ever swept
         // those entries). The bookkeeping must stay empty here.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let mut tokens = Vec::new();
-            for i in 0..10_000u64 {
-                tokens.push(q.schedule(SimTime::from_nanos(i + 1), i));
-            }
-            while q.pop().is_some() {}
-            for t in tokens {
-                assert!(!q.cancel(t), "{be:?}");
-            }
-            assert_eq!(q.cancelled_backlog(), 0);
-            assert_eq!(q.len(), 0);
+        let mut q = EventQueue::new();
+        let mut tokens = Vec::new();
+        for i in 0..10_000u64 {
+            tokens.push(q.schedule(SimTime::from_nanos(i + 1), i));
         }
-    }
-
-    #[test]
-    fn heap_pre_fire_cancellations_stay_lazy() {
-        // Heap backend: pre-fire cancellations below the heap top stay
-        // lazily in the heap (backlog 1) and are swept once their
-        // entry surfaces.
-        let mut q = EventQueue::with_backend(QueueBackend::Heap);
-        q.schedule(SimTime::from_nanos(100_000), 0);
-        let b = q.schedule(SimTime::from_nanos(100_001), 1);
-        assert!(q.cancel(b));
-        assert_eq!(q.cancelled_backlog(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some(0));
+        while q.pop().is_some() {}
+        for t in tokens {
+            assert!(!q.cancel(t));
+        }
         assert_eq!(q.cancelled_backlog(), 0);
-        assert!(q.pop().is_none());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
-    fn wheel_cancels_are_eager_outside_overflow() {
-        // Wheel backend: a cancel inside the wheel's coverage removes
-        // the entry on the spot — zero backlog — while a far-future
-        // cancel parks lazily in the overflow heap.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+    fn cancels_are_eager_outside_overflow() {
+        // A cancel inside the wheel's coverage removes the entry on the
+        // spot — zero backlog — while a far-future cancel parks lazily
+        // in the overflow heap.
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(50), 0);
         let near = q.schedule(SimTime::from_nanos(100_000), 1);
         let far = q.schedule(SimTime::from_secs(10), 2);
@@ -1520,44 +1099,37 @@ mod tests {
 
     #[test]
     fn cancel_at_top_sweeps_immediately() {
-        // Cancelling the front entry keeps peek_time a pure read on
-        // both backends.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let a = q.schedule(SimTime::from_nanos(10), 0);
-            q.schedule(SimTime::from_nanos(20), 1);
-            assert!(q.cancel(a));
-            assert_eq!(q.cancelled_backlog(), 0, "{be:?}");
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
-        }
+        // Cancelling the front entry keeps peek_time a pure read.
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_nanos(10), 0);
+        q.schedule(SimTime::from_nanos(20), 1);
+        assert!(q.cancel(a));
+        assert_eq!(q.cancelled_backlog(), 0);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
     }
 
     #[test]
     fn peek_time_skips_cancelled() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t1 = q.schedule(SimTime::from_nanos(10), 1);
-            q.schedule(SimTime::from_nanos(20), 2);
-            q.cancel(t1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)), "{be:?}");
-        }
+        let mut q = EventQueue::new();
+        let t1 = q.schedule(SimTime::from_nanos(10), 1);
+        q.schedule(SimTime::from_nanos(20), 2);
+        q.cancel(t1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
     }
 
     #[test]
     fn peek_time_is_shared_access() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(10), ());
-            let r: &EventQueue<()> = &q;
-            assert_eq!(r.peek_time(), Some(SimTime::from_nanos(10)), "{be:?}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), ());
+        let r: &EventQueue<()> = &q;
+        assert_eq!(r.peek_time(), Some(SimTime::from_nanos(10)));
     }
 
     #[test]
     fn peek_time_reaches_into_level_one() {
         // Level 0 empty, next event beyond the level-0 window: the
         // peek must find it in the level-1 ring without popping.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(1), 7);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
         assert_eq!(q.pop().map(|(_, e)| e), Some(7));
@@ -1565,50 +1137,44 @@ mod tests {
 
     #[test]
     fn len_accounts_for_cancellations() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let a = q.schedule(SimTime::from_nanos(1), ());
-            q.schedule(SimTime::from_nanos(2), ());
-            q.cancel(a);
-            assert_eq!(q.len(), 1, "{be:?}");
-            assert!(!q.is_empty());
-            q.pop();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_nanos(1), ());
+        q.schedule(SimTime::from_nanos(2), ());
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        q.pop();
+        assert!(q.is_empty());
     }
 
     #[test]
     fn interleaved_schedule_and_pop() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(10), 1u32);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t.as_nanos(), e), (10, 1), "{be:?}");
-            // Schedule relative to the new now.
-            q.schedule(q.now() + SimDuration::from_nanos(5), 2u32);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!((t.as_nanos(), e), (15, 2));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 1u32);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!((t.as_nanos(), e), (10, 1));
+        // Schedule relative to the new now.
+        q.schedule(q.now() + SimDuration::from_nanos(5), 2u32);
+        let (t, e) = q.pop().unwrap();
+        assert_eq!((t.as_nanos(), e), (15, 2));
     }
 
     #[test]
     fn slab_recycles_slots() {
         // Steady-state schedule/pop churn must not grow the slab.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            for i in 0..100_000u64 {
-                q.schedule(SimTime::from_nanos(i + 1), i);
-                q.pop();
-            }
-            assert!(q.slots.len() <= 2, "{be:?}: slab grew to {}", q.slots.len());
+        let mut q = EventQueue::new();
+        for i in 0..100_000u64 {
+            q.schedule(SimTime::from_nanos(i + 1), i);
+            q.pop();
         }
+        assert!(q.slots.len() <= 2, "slab grew to {}", q.slots.len());
     }
 
     #[test]
     fn wheel_spans_every_level() {
         // Events in level 0, level 1, and the overflow heap — popped
         // back in global time order across the structural boundaries.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         let times: Vec<u64> = vec![
             40,            // level 0
             5_000,         // level 0
@@ -1632,7 +1198,7 @@ mod tests {
         // Same-timestamp events arriving via different routes (direct
         // level-0 insert vs. level-1/overflow promotion) must still pop
         // in schedule order.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         let t = SimTime::from_millis(40); // starts in overflow
         q.schedule(t, 0u32); // → overflow
         q.schedule(SimTime::from_nanos(10), 100); // level 0, pops first
@@ -1654,65 +1220,59 @@ mod tests {
 
     #[test]
     fn drain_next_batch_groups_same_timestamp() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t1 = SimTime::from_nanos(100);
-            let t2 = SimTime::from_nanos(200);
-            q.schedule(t1, 1);
-            q.schedule(t2, 10);
-            q.schedule(t1, 2);
-            q.schedule(t1, 3);
-            let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t1));
-            assert_eq!(out, vec![(0, 1), (2, 2), (3, 3)], "{be:?}");
-            assert_eq!(q.now(), t1);
-            out.clear();
-            // A limited drain that finds nothing reports the front.
-            assert_eq!(
-                q.drain_next_batch(SimTime::from_nanos(150), &mut out),
-                Err(t2)
-            );
-            assert!(out.is_empty());
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t2));
-            assert_eq!(out, vec![(1, 10)]);
-            assert!(q.is_empty());
-            assert_eq!(
-                q.drain_next_batch(SimTime::MAX, &mut out),
-                Err(SimTime::MAX)
-            );
-        }
+        let mut q = EventQueue::new();
+        let t1 = SimTime::from_nanos(100);
+        let t2 = SimTime::from_nanos(200);
+        q.schedule(t1, 1);
+        q.schedule(t2, 10);
+        q.schedule(t1, 2);
+        q.schedule(t1, 3);
+        let mut out = Vec::new();
+        assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t1));
+        assert_eq!(out, vec![(0, 1), (2, 2), (3, 3)]);
+        assert_eq!(q.now(), t1);
+        out.clear();
+        // A limited drain that finds nothing reports the front.
+        assert_eq!(
+            q.drain_next_batch(SimTime::from_nanos(150), &mut out),
+            Err(t2)
+        );
+        assert!(out.is_empty());
+        assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t2));
+        assert_eq!(out, vec![(1, 10)]);
+        assert!(q.is_empty());
+        assert_eq!(
+            q.drain_next_batch(SimTime::MAX, &mut out),
+            Err(SimTime::MAX)
+        );
     }
 
     #[test]
     fn reserved_seqs_interleave_with_scheduled_ones() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = SimTime::from_nanos(100);
-            q.schedule(t, 'a');
-            let external = q.reserve_seq();
-            q.schedule(t, 'b');
-            assert_eq!(q.next_seq(), 3);
-            let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(t, &mut out), Ok(t));
-            // The reserved number sits between the two queued events.
-            assert_eq!(out, vec![(0, 'a'), (2, 'b')], "{be:?}");
-            assert_eq!(external, 1);
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(100);
+        q.schedule(t, 'a');
+        let external = q.reserve_seq();
+        q.schedule(t, 'b');
+        assert_eq!(q.next_seq(), 3);
+        let mut out = Vec::new();
+        assert_eq!(q.drain_next_batch(t, &mut out), Ok(t));
+        // The reserved number sits between the two queued events.
+        assert_eq!(out, vec![(0, 'a'), (2, 'b')]);
+        assert_eq!(external, 1);
     }
 
     #[test]
     fn limited_drain_respects_limit() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            q.schedule(SimTime::from_nanos(500), 5);
-            let mut out = Vec::new();
-            let early = q.drain_next_batch(SimTime::from_nanos(400), &mut out);
-            assert_eq!(early, Err(SimTime::from_nanos(500)), "{be:?}");
-            assert_eq!(q.len(), 1, "{be:?}: limited drain must not consume");
-            let due = q.drain_next_batch(SimTime::from_nanos(500), &mut out);
-            assert_eq!(due, Ok(SimTime::from_nanos(500)));
-            assert_eq!(out, vec![(0, 5)]);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(500), 5);
+        let mut out = Vec::new();
+        let early = q.drain_next_batch(SimTime::from_nanos(400), &mut out);
+        assert_eq!(early, Err(SimTime::from_nanos(500)));
+        assert_eq!(q.len(), 1, "limited drain must not consume");
+        let due = q.drain_next_batch(SimTime::from_nanos(500), &mut out);
+        assert_eq!(due, Ok(SimTime::from_nanos(500)));
+        assert_eq!(out, vec![(0, 5)]);
     }
 
     #[test]
@@ -1720,7 +1280,7 @@ mod tests {
         // A limited drain that finds nothing due (next event beyond
         // the limit, parked in level 1 / overflow) must leave the wheel
         // able to accept schedules near `now` without aliasing.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(100), 1u32);
         assert_eq!(q.pop().map(|(_, e)| e), Some(1));
         q.schedule(SimTime::from_millis(25), 2); // level 1
@@ -1739,7 +1299,7 @@ mod tests {
         // A lone far-future event forces the window to jump (no
         // per-bucket crawling): schedule → pop → schedule near the new
         // now must all stay consistent.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(3), "far");
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
         assert_eq!(q.pop().map(|(_, e)| e), Some("far"));
@@ -1749,75 +1309,40 @@ mod tests {
     }
 
     #[test]
-    fn fused_same_deadline_share_one_slot() {
-        // Coincident deadlines in a wheel level collapse into one slab
-        // slot and one bucket node, popping in FIFO order regardless.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
-        let t = SimTime::from_nanos(500);
-        for i in 0..8 {
-            q.schedule(t, i);
-        }
-        assert_eq!(q.slots.len(), 1, "members fused into the first slot");
-        assert_eq!(q.len(), 8);
+    fn same_deadline_cancel_semantics() {
+        // Every token of a same-deadline group is individually
+        // cancellable, with the usual stale-token contract.
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(700);
+        let toks: Vec<_> = (0..5).map(|i| q.schedule(t, i)).collect();
+        assert!(q.cancel(toks[2]), "middle member");
+        assert!(!q.cancel(toks[2]), "double cancel");
+        assert!(q.cancel(toks[0]), "front member");
+        assert_eq!(q.len(), 3);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fused_member_cancel_semantics() {
-        // Every member token of a fused slot is individually
-        // cancellable, with the same stale-token contract singletons
-        // have, on either backend.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = SimTime::from_nanos(700);
-            let toks: Vec<_> = (0..5).map(|i| q.schedule(t, i)).collect();
-            assert!(q.cancel(toks[2]), "{be:?}: middle member");
-            assert!(!q.cancel(toks[2]), "{be:?}: double cancel");
-            assert!(q.cancel(toks[0]), "{be:?}: front member");
-            assert_eq!(q.len(), 3);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 3, 4], "{be:?}");
-            for tok in toks {
-                assert!(!q.cancel(tok), "{be:?}: all tokens dead after fire");
-            }
-            assert_eq!(q.cancelled_backlog(), 0, "{be:?}");
+        assert_eq!(order, vec![1, 3, 4]);
+        for tok in toks {
+            assert!(!q.cancel(tok), "all tokens dead after fire");
         }
+        assert_eq!(q.cancelled_backlog(), 0);
     }
 
     #[test]
-    fn fused_slot_interleaves_with_later_singleton() {
-        // A fused slot keyed by its front member must interleave
-        // correctly with a separate same-time slot arriving via a
-        // different route (level-1 redistribution), exactly as the
-        // heap backend would order the four events.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend(be);
-            let t = SimTime::from_millis(1); // starts in level 1
-            q.schedule(t, 0u32);
-            q.schedule(t, 1); // fuses with 0 on the wheel
-            q.schedule(t, 2);
-            let mut out = Vec::new();
-            assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(t));
-            assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)], "{be:?}");
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn fusion_in_level_one_pops_in_order() {
-        // Fusing inside a level-1 bucket: members ride the
-        // redistribution into level 0 together and still pop in
-        // global (time, seq) order against neighbours.
-        let mut q = EventQueue::with_backend(QueueBackend::Wheel);
+    fn level_one_same_deadline_drains_in_order() {
+        // Same-deadline events parked in one level-1 bucket ride the
+        // redistribution into level 0 together and drain as one batch
+        // in seq order, still interleaving correctly with a neighbour.
+        let mut q = EventQueue::new();
         let a = SimTime::from_micros(200); // level 1
         let b = SimTime::from_micros(201); // same level-1 bucket
         q.schedule(a, 10u32);
         q.schedule(b, 20);
-        q.schedule(a, 11); // fuses with 10
-        assert_eq!(q.slots.len(), 2, "coincident deadline fused");
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, vec![10, 11, 20]);
+        q.schedule(a, 11);
+        let mut out = Vec::new();
+        assert_eq!(q.drain_next_batch(SimTime::MAX, &mut out), Ok(a));
+        assert_eq!(out, vec![(0, 10), (2, 11)]);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(20));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -1825,24 +1350,18 @@ mod tests {
         // A fleet-profile queue starting from a tiny slab must produce
         // the exact pop order of the default reservation under a load
         // that forces several mid-run doublings.
-        for be in BACKENDS {
-            let mut small = EventQueue::with_backend_and_slots(be, 2);
-            let mut big = EventQueue::with_backend(be);
-            for i in 0..3000u64 {
-                let t = SimTime::from_nanos(1 + (i * 7919) % 50_000);
-                small.schedule(t, i);
-                big.schedule(t, i);
-            }
-            loop {
-                let (a, b) = (small.pop(), big.pop());
-                assert_eq!(
-                    a.as_ref().map(|(t, e)| (*t, *e)),
-                    b.as_ref().map(|(t, e)| (*t, *e)),
-                    "{be:?}"
-                );
-                if a.is_none() {
-                    break;
-                }
+        let mut small = EventQueue::with_slots(2);
+        let mut big = EventQueue::new();
+        for i in 0..3000u64 {
+            let t = SimTime::from_nanos(1 + (i * 7919) % 50_000);
+            small.schedule(t, i);
+            big.schedule(t, i);
+        }
+        loop {
+            let (a, b) = (small.pop(), big.pop());
+            assert_eq!(a, b);
+            if a.is_none() {
+                break;
             }
         }
     }
@@ -1853,60 +1372,45 @@ mod tests {
         // keep the high-water mark visible, and never let a
         // pre-compaction token cancel a post-compaction occupant of a
         // recycled slot index.
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend_and_slots(be, 4);
-            let stale: Vec<_> = (0..4000u64)
-                .map(|i| q.schedule(SimTime::from_nanos(i + 1), i))
-                .collect();
-            while q.pop().is_some() {}
-            let peak = q.slab_high_watermark();
-            assert!(peak >= 1000, "{be:?}: storm should inflate the slab");
-            q.compact();
-            assert!(q.slots.is_empty(), "{be:?}: free tail dropped");
-            assert_eq!(q.slab_high_watermark(), peak, "{be:?}: HWM survives");
-            // Regrow over the same indices; every stale token is dead.
-            let fresh: Vec<_> = (0..4000u64)
-                .map(|i| q.schedule(SimTime::from_nanos(10_000 + i), i))
-                .collect();
-            for t in stale {
-                assert!(!q.cancel(t), "{be:?}: stale token aliased a live slot");
-            }
-            assert_eq!(q.len(), 4000, "{be:?}");
-            for t in fresh.iter().step_by(2) {
-                assert!(q.cancel(*t), "{be:?}: fresh tokens stay cancellable");
-            }
-            let popped = std::iter::from_fn(|| q.pop()).count();
-            assert_eq!(popped, 2000, "{be:?}");
+        let mut q = EventQueue::with_slots(4);
+        let stale: Vec<_> = (0..4000u64)
+            .map(|i| q.schedule(SimTime::from_nanos(i + 1), i))
+            .collect();
+        while q.pop().is_some() {}
+        let peak = q.slab_high_watermark();
+        assert!(peak >= 1000, "storm should inflate the slab");
+        q.compact();
+        assert!(q.slots.is_empty(), "free tail dropped");
+        assert_eq!(q.slab_high_watermark(), peak, "HWM survives");
+        // Regrow over the same indices; every stale token is dead.
+        let fresh: Vec<_> = (0..4000u64)
+            .map(|i| q.schedule(SimTime::from_nanos(10_000 + i), i))
+            .collect();
+        for t in stale {
+            assert!(!q.cancel(t), "stale token aliased a live slot");
         }
+        assert_eq!(q.len(), 4000);
+        for t in fresh.iter().step_by(2) {
+            assert!(q.cancel(*t), "fresh tokens stay cancellable");
+        }
+        let popped = std::iter::from_fn(|| q.pop()).count();
+        assert_eq!(popped, 2000);
     }
 
     #[test]
     fn compact_with_live_entries_is_inert() {
-        for be in BACKENDS {
-            let mut q = EventQueue::with_backend_and_slots(be, 4);
-            // Live entries across all wheel levels, plus churn to leave
-            // free slots behind them.
-            for i in 0..500u64 {
-                let t = q.schedule(SimTime::from_nanos(i + 1), i);
-                q.cancel(t);
-            }
-            q.schedule(SimTime::from_nanos(40), 1u64);
-            q.schedule(SimTime::from_micros(200), 2);
-            q.schedule(SimTime::from_secs(2), 3);
-            q.compact();
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![1, 2, 3], "{be:?}");
+        let mut q = EventQueue::with_slots(4);
+        // Live entries across all wheel levels, plus churn to leave
+        // free slots behind them.
+        for i in 0..500u64 {
+            let t = q.schedule(SimTime::from_nanos(i + 1), i);
+            q.cancel(t);
         }
-    }
-
-    #[test]
-    fn backend_env_selector_parses() {
-        // Only exercises the parser (the env var itself is process
-        // global and owned by the integration tests).
-        assert_eq!(QueueBackend::default(), QueueBackend::Wheel);
-        let q: EventQueue<()> = EventQueue::with_backend(QueueBackend::Heap);
-        assert_eq!(q.backend(), QueueBackend::Heap);
-        let q: EventQueue<()> = EventQueue::with_backend(QueueBackend::Wheel);
-        assert_eq!(q.backend(), QueueBackend::Wheel);
+        q.schedule(SimTime::from_nanos(40), 1u64);
+        q.schedule(SimTime::from_micros(200), 2);
+        q.schedule(SimTime::from_secs(2), 3);
+        q.compact();
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 }

@@ -14,9 +14,10 @@
 //! growth starts*, never what the simulation computes: every structure
 //! behind it grows on demand to the same logical state, so traces,
 //! stats, and CSVs are byte-identical across profiles — the fleet
-//! identity matrix asserts exactly that.
+//! identity matrix asserts exactly that. The profile is set in code
+//! (`MachineConfig::footprint`, `FleetConfig::footprint`); single
+//! machines default to `Hot`, fleets to `Fleet`.
 
-use crate::env::env_parse_or_warn;
 use crate::event::INITIAL_SLOTS;
 
 /// Hot delivery-line reservation, in packets. The bench workloads
@@ -37,22 +38,6 @@ pub enum FootprintProfile {
 }
 
 impl FootprintProfile {
-    /// Resolves the profile from `TAICHI_FOOTPRINT` (`hot` or `fleet`);
-    /// unset/empty answers `default`, an unrecognized value warns once
-    /// and answers `default` — the same contract as `TAICHI_QUEUE`.
-    pub fn from_env_or(default: FootprintProfile) -> FootprintProfile {
-        env_parse_or_warn("TAICHI_FOOTPRINT", |s| match s.trim() {
-            "" => Ok(default),
-            "hot" => Ok(FootprintProfile::Hot),
-            "fleet" => Ok(FootprintProfile::Fleet),
-            other => Err(format!(
-                "warning: TAICHI_FOOTPRINT={other:?} is not a known footprint profile \
-                 (expected \"hot\" or \"fleet\"); using the configured default"
-            )),
-        })
-        .unwrap_or(default)
-    }
-
     /// Initial event-slab reservation ([`crate::event::EventQueue`]).
     pub fn initial_event_slots(self) -> usize {
         match self {

@@ -7,8 +7,7 @@
 //! - [`time`]: a nanosecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]).
 //! - [`event`]: a deterministic event queue with FIFO tie-breaking and
-//!   cancellation tokens, backed by a hierarchical timing wheel (or a
-//!   binary heap, selectable via `TAICHI_QUEUE`).
+//!   cancellation tokens, backed by a hierarchical timing wheel.
 //! - [`delay_line`]: `(time, seq)`-sorted pending items kept outside
 //!   the event queue (fixed-latency pipelines), merged with it by the
 //!   run loop.
@@ -55,7 +54,7 @@ pub mod trace;
 
 pub use delay_line::DelayLine;
 pub use dist::{Dist, PreparedDist};
-pub use event::{EventQueue, EventToken, QueueBackend};
+pub use event::{EventQueue, EventToken};
 pub use fault::{DegradePolicy, FaultInjector, FaultPlan, FaultStats, IpiFate};
 pub use footprint::FootprintProfile;
 pub use hist::Histogram;

@@ -1,29 +1,22 @@
-//! Randomized differential tests of [`EventQueue`].
+//! Randomized differential tests of [`EventQueue`] against a spec
+//! model.
 //!
-//! Two layers of checking:
+//! The model ([`SpecQueue`]) is a sorted map in `(time, seq)` order
+//! with the documented sweep points (on `cancel` and after `pop`, the
+//! leading cancelled run is discarded). The queue must agree with it on
+//! pop order and payload, batch drains, `len`, `peek_time`, `is_empty`,
+//! and `cancel`'s return value (including stale tokens after slot
+//! reuse).
 //!
-//! 1. **Spec model** — a sorted list in `(time, seq)` order with the
-//!    documented sweep points (on `cancel` and after `pop`, the leading
-//!    cancelled run is discarded). Every backend must agree with it on
-//!    pop order and payload, `len`, `peek_time`, `is_empty`, and
-//!    `cancel`'s return value (including stale tokens after slot
-//!    reuse). `cancelled_backlog` is the one backend-dependent
-//!    diagnostic: the spec mirrors the *heap*'s lazy disposal, so that
-//!    assertion is pinned to the heap backend (the wheel removes
-//!    cancelled entries eagerly everywhere but its overflow heap).
-//!
-//! 2. **Wheel-vs-heap differential** (≥100k ops) — the two backends
-//!    run the same interleaved push/cancel/advance sequence, with time
-//!    deltas spread across all three wheel levels, deliberate
-//!    same-timestamp bursts, *fused-deadline* inserts (re-scheduling
-//!    at the exact deadline of a still-pending entry, so the wheel's
-//!    same-deadline fusion shares one slot), and long idle gaps
-//!    (drains far past the last pending entry, so the wheel's bulk
-//!    level-hop advance crosses swaths of empty buckets), and must
-//!    produce identical `(time, payload)` pop sequences and identical
-//!    observables throughout.
+//! `cancelled_backlog` is checked only for what the overflow heap
+//! leaves behind: the wheel removes cancelled entries eagerly
+//! everywhere else, so its backlog may count only cancelled entries far
+//! enough ahead of `now` to still be parked in overflow — and must be
+//! zero once the queue is drained.
 
-use taichi_sim::{EventQueue, EventToken, QueueBackend, Rng, SimDuration, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
+
+use taichi_sim::{EventQueue, EventToken, Rng, SimDuration, SimTime};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -31,20 +24,31 @@ enum State {
     Cancelled,
 }
 
+/// An entry still parked in the overflow heap lies more than 255
+/// level-1 buckets of 2^17 ns (~33.4 ms) past `now`: the level-1
+/// horizon is 255 buckets beyond the level-0 window end, which is
+/// always ahead of `now`. Cancels nearer than that are eager.
+const OVERFLOW_FLOOR_NS: u64 = 255 << 17;
+
 /// Specification model: entries sorted by `(time, seq)`, never a
 /// cancelled entry at the front (the sweep invariant).
 struct SpecQueue {
-    /// `(time, seq, payload, state)`, sorted ascending by `(time, seq)`.
-    entries: Vec<(SimTime, u64, u64, State)>,
-    next_seq: u64,
+    entries: BTreeMap<(SimTime, u64), (u64, State)>,
+    /// Keys of the cancelled entries still in `entries`.
+    cancelled: BTreeSet<(SimTime, u64)>,
+    /// Deadline of every entry ever scheduled, indexed by seq.
+    times: Vec<SimTime>,
+    live: usize,
     now: SimTime,
 }
 
 impl SpecQueue {
     fn new() -> Self {
         SpecQueue {
-            entries: Vec::new(),
-            next_seq: 0,
+            entries: BTreeMap::new(),
+            cancelled: BTreeSet::new(),
+            times: Vec::new(),
+            live: 0,
             now: SimTime::ZERO,
         }
     }
@@ -52,82 +56,107 @@ impl SpecQueue {
     /// Returns the model-side id of the new entry (its seq).
     fn schedule(&mut self, time: SimTime, payload: u64) -> u64 {
         let time = time.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let at = self
-            .entries
-            .partition_point(|&(t, s, _, _)| (t, s) < (time, seq));
-        self.entries.insert(at, (time, seq, payload, State::Live));
+        let seq = self.times.len() as u64;
+        self.times.push(time);
+        self.entries.insert((time, seq), (payload, State::Live));
+        self.live += 1;
         seq
     }
 
     /// Cancels by model id; true iff the entry is still present and
     /// live (a stale or repeated cancel records nothing).
     fn cancel(&mut self, id: u64) -> bool {
-        let Some(e) = self.entries.iter_mut().find(|e| e.1 == id) else {
+        let key = (self.times[id as usize], id);
+        let Some(e) = self.entries.get_mut(&key) else {
             return false;
         };
-        if e.3 == State::Cancelled {
+        if e.1 == State::Cancelled {
             return false;
         }
-        e.3 = State::Cancelled;
+        e.1 = State::Cancelled;
+        self.live -= 1;
+        self.cancelled.insert(key);
         self.sweep_front();
         true
     }
 
     fn pop(&mut self) -> Option<(SimTime, u64)> {
         // The front is live by the sweep invariant.
-        if self.entries.is_empty() {
-            return None;
-        }
-        let (time, _, payload, state) = self.entries.remove(0);
+        let ((time, _), (payload, state)) = self.entries.pop_first()?;
         assert!(state == State::Live, "sweep invariant violated in spec");
+        self.live -= 1;
         self.now = time;
         self.sweep_front();
         Some((time, payload))
     }
 
-    fn sweep_front(&mut self) {
-        while let Some(&(_, _, _, state)) = self.entries.first() {
-            if state == State::Live {
+    /// Every live entry at the earliest pending time, if that time is
+    /// `<= limit`, as `(seq, payload)`; otherwise `Err(front)`.
+    fn drain_next_batch(
+        &mut self,
+        limit: SimTime,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Result<SimTime, SimTime> {
+        let at = self.peek_time().unwrap_or(SimTime::MAX);
+        if self.entries.is_empty() || at > limit {
+            return Err(at);
+        }
+        self.now = at;
+        while let Some(e) = self.entries.first_entry() {
+            if e.key().0 != at {
                 break;
             }
-            self.entries.remove(0);
+            let ((_, seq), (payload, state)) = e.remove_entry();
+            match state {
+                State::Live => {
+                    self.live -= 1;
+                    out.push((seq, payload));
+                }
+                State::Cancelled => {
+                    self.cancelled.remove(&(at, seq));
+                }
+            }
+        }
+        self.sweep_front();
+        Ok(at)
+    }
+
+    fn sweep_front(&mut self) {
+        while let Some(e) = self.entries.first_entry() {
+            if e.get().1 == State::Live {
+                break;
+            }
+            self.cancelled.remove(e.key());
+            e.remove();
         }
     }
 
     fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.3 == State::Live).count()
+        self.live
     }
 
-    fn cancelled_backlog(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.3 == State::Cancelled)
-            .count()
+    /// Cancelled entries the overflow heap may still hold: those past
+    /// [`OVERFLOW_FLOOR_NS`] from `now`.
+    fn overflow_backlog_bound(&self) -> usize {
+        let floor = self.now + SimDuration::from_nanos(OVERFLOW_FLOOR_NS);
+        self.cancelled.range((floor, 0)..).count()
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.entries.first().map(|e| e.0)
+        self.entries.first_key_value().map(|(k, _)| k.0)
     }
 }
 
 fn check_invariants(q: &EventQueue<u64>, spec: &SpecQueue, step: usize) {
     assert_eq!(q.len(), spec.len(), "len diverged at step {step}");
-    if q.backend() == QueueBackend::Heap {
-        // The spec models the heap's lazy disposal; the wheel disposes
-        // eagerly outside its overflow heap, so its backlog is smaller.
-        assert_eq!(
-            q.cancelled_backlog(),
-            spec.cancelled_backlog(),
-            "cancelled_backlog diverged at step {step}"
-        );
-    } else {
-        assert!(
-            q.cancelled_backlog() <= spec.cancelled_backlog(),
-            "wheel backlog exceeded lazy-disposal bound at step {step}"
-        );
-    }
+    assert_eq!(q.now(), spec.now, "now diverged at step {step}");
+    assert!(
+        q.cancelled_backlog() <= spec.overflow_backlog_bound(),
+        "cancelled entries left outside the overflow heap at step {step}: \
+         backlog {} > bound {}",
+        q.cancelled_backlog(),
+        spec.overflow_backlog_bound()
+    );
     assert_eq!(
         q.peek_time(),
         spec.peek_time(),
@@ -140,9 +169,33 @@ fn check_invariants(q: &EventQueue<u64>, spec: &SpecQueue, step: usize) {
     );
 }
 
-fn run_differential(backend: QueueBackend, seed: u64, ops: usize) {
+/// Pops both sides to empty, checking every step, and requires the
+/// queue to end fully swept.
+fn drain_and_check(q: &mut EventQueue<u64>, spec: &mut SpecQueue, mut step: usize) -> usize {
+    let mut drained = 0usize;
+    loop {
+        let a = q.pop();
+        let b = spec.pop();
+        assert_eq!(a, b, "pop diverged during drain after {drained} pops");
+        if a.is_none() {
+            break;
+        }
+        drained += 1;
+        step += 1;
+        check_invariants(q, spec, step);
+    }
+    assert!(q.is_empty());
+    assert_eq!(
+        q.cancelled_backlog(),
+        0,
+        "leaked cancelled slots after full drain"
+    );
+    drained
+}
+
+fn run_differential(seed: u64, ops: usize) {
     let mut rng = Rng::new(seed);
-    let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut spec = SpecQueue::new();
     // All tokens ever issued (live, fired, swept, recycled slots) —
     // cancelling old ones exercises generation staleness after reuse.
@@ -155,9 +208,7 @@ fn run_differential(backend: QueueBackend, seed: u64, ops: usize) {
         match rng.next_below(4) {
             // Half the ops schedule, so the queue keeps growing and
             // slots recycle through the free list. A quarter of the
-            // schedules reuse the exact deadline of a recent entry,
-            // driving the wheel's same-deadline fusion (the spec
-            // model is fusion-blind — observables must not change).
+            // schedules reuse the exact deadline of a recent entry.
             0 | 1 => {
                 let time = match recent_times.get(rng.next_below(4) as usize) {
                     Some(&t) if rng.next_below(4) == 0 && t >= q.now() => t,
@@ -188,67 +239,48 @@ fn run_differential(backend: QueueBackend, seed: u64, ops: usize) {
         }
         check_invariants(&q, &spec, step);
     }
-
-    // Drain: the remaining pop order must match exactly.
-    let mut drained = 0usize;
-    loop {
-        let a = q.pop();
-        let b = spec.pop();
-        assert_eq!(a, b, "pop diverged during drain after {drained} pops");
-        if a.is_none() {
-            break;
-        }
-        drained += 1;
-        check_invariants(&q, &spec, ops + drained);
-    }
-    assert_eq!(
-        q.cancelled_backlog(),
-        0,
-        "drained queue must be fully swept"
-    );
+    drain_and_check(&mut q, &mut spec, ops);
 }
 
 #[test]
 fn event_queue_matches_spec_over_random_ops() {
-    // Both backends x 3 seeds x 12k ops (plus drains).
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
-            run_differential(backend, seed, 12_000);
-        }
+    // 3 seeds x 12k ops (plus drains).
+    for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
+        run_differential(seed, 12_000);
     }
 }
 
 #[test]
 fn event_queue_matches_spec_under_heavy_cancellation() {
     // Skew towards cancels: schedule bursts, then cancel most of them
-    // before popping, hammering the sweep + slot-recycling paths.
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let mut rng = Rng::new(0xCA7);
-        let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-        let mut spec = SpecQueue::new();
-        let mut step = 0usize;
-        for _round in 0..200 {
-            let mut batch = Vec::new();
-            for _ in 0..32 {
-                let dt = SimDuration::from_nanos(rng.next_below(500));
-                let time = q.now() + dt;
-                let payload = rng.next_u64();
-                batch.push((q.schedule(time, payload), spec.schedule(time, payload)));
+    // before popping, hammering the sweep + slot-recycling paths. Every
+    // delta stays inside level 0, so every cancel is eager and the
+    // backlog bound is zero throughout.
+    let mut rng = Rng::new(0xCA7);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut spec = SpecQueue::new();
+    let mut step = 0usize;
+    for _round in 0..200 {
+        let mut batch = Vec::new();
+        for _ in 0..32 {
+            let dt = SimDuration::from_nanos(rng.next_below(500));
+            let time = q.now() + dt;
+            let payload = rng.next_u64();
+            batch.push((q.schedule(time, payload), spec.schedule(time, payload)));
+            step += 1;
+            check_invariants(&q, &spec, step);
+        }
+        for (tok, id) in batch {
+            if rng.next_below(4) != 0 {
+                assert_eq!(q.cancel(tok), spec.cancel(id), "cancel diverged");
                 step += 1;
                 check_invariants(&q, &spec, step);
             }
-            for (tok, id) in batch {
-                if rng.next_below(4) != 0 {
-                    assert_eq!(q.cancel(tok), spec.cancel(id), "cancel diverged");
-                    step += 1;
-                    check_invariants(&q, &spec, step);
-                }
-            }
-            for _ in 0..8 {
-                assert_eq!(q.pop(), spec.pop(), "pop diverged at step {step}");
-                step += 1;
-                check_invariants(&q, &spec, step);
-            }
+        }
+        for _ in 0..8 {
+            assert_eq!(q.pop(), spec.pop(), "pop diverged at step {step}");
+            step += 1;
+            check_invariants(&q, &spec, step);
         }
     }
 }
@@ -263,104 +295,81 @@ fn event_queue_matches_spec_under_heavy_cancellation() {
 ///
 /// Well over half of the scheduled deltas here land beyond the
 /// horizon; most entries get cancelled while still buried in the
-/// overflow heap; pops force promotions across the boundary. The spec
-/// comparison in `check_invariants` bounds the wheel's cancelled
-/// backlog by the lazy-disposal model at every step, and the full
-/// drain must end with zero backlog on both backends — a leaked
-/// overflow slot (a cancelled entry whose slot is never retired)
-/// would hold the backlog nonzero at the end.
+/// overflow heap; pops force promotions across the boundary. The full
+/// drain must end with zero backlog — a leaked overflow slot (a
+/// cancelled entry whose slot is never retired) would hold the backlog
+/// nonzero at the end.
 #[test]
 fn overflow_cancel_storm_retires_every_slot() {
     const HORIZON_NS: u64 = 33_500_000; // just under the level-1 span
-    for backend in [QueueBackend::Wheel, QueueBackend::Heap] {
-        let mut rng = Rng::new(0x5702_0CA7);
-        let mut q: EventQueue<u64> = EventQueue::with_backend(backend);
-        let mut spec = SpecQueue::new();
-        let mut tokens: Vec<(EventToken, u64)> = Vec::new();
-        let mut next_payload = 0u64;
-        let (mut far, mut total) = (0u64, 0u64);
-        let mut step = 0usize;
+    let mut rng = Rng::new(0x5702_0CA7);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut spec = SpecQueue::new();
+    let mut tokens: Vec<(EventToken, u64)> = Vec::new();
+    let mut next_payload = 0u64;
+    let (mut far, mut total) = (0u64, 0u64);
+    let mut step = 0usize;
 
-        for _round in 0..300 {
-            for _ in 0..16 {
-                total += 1;
-                let dt = if rng.next_below(10) < 7 {
-                    // Deep in the overflow region: 34 ms ..= 500 ms.
-                    far += 1;
-                    SimDuration::from_nanos(34_000_000 + rng.next_below(466_000_000))
-                } else {
-                    // Inside the wheel levels, crossing both spans.
-                    SimDuration::from_nanos(rng.next_below(33_000_000))
-                };
-                let time = q.now() + dt;
-                let payload = next_payload;
-                next_payload += 1;
-                tokens.push((q.schedule(time, payload), spec.schedule(time, payload)));
-            }
-            // The storm: cancel roughly 3/4 of everything outstanding,
-            // including stale tokens of already-fired entries (their
-            // cancel must report false on both sides).
-            for &(tok, id) in &tokens {
-                if rng.next_below(4) < 3 {
-                    assert_eq!(
-                        q.cancel(tok),
-                        spec.cancel(id),
-                        "cancel return diverged at step {step}"
-                    );
-                    step += 1;
-                }
-            }
-            check_invariants(&q, &spec, step);
-            // A few pops advance time across the horizon, forcing
-            // overflow promotion through cancelled runs.
-            for _ in 0..6 {
-                assert_eq!(q.pop(), spec.pop(), "pop diverged at step {step}");
+    for _round in 0..300 {
+        for _ in 0..16 {
+            total += 1;
+            let dt = if rng.next_below(10) < 7 {
+                // Deep in the overflow region: 34 ms ..= 500 ms.
+                far += 1;
+                SimDuration::from_nanos(34_000_000 + rng.next_below(466_000_000))
+            } else {
+                // Inside the wheel levels, crossing both spans.
+                SimDuration::from_nanos(rng.next_below(33_000_000))
+            };
+            let time = q.now() + dt;
+            let payload = next_payload;
+            next_payload += 1;
+            tokens.push((q.schedule(time, payload), spec.schedule(time, payload)));
+        }
+        // The storm: cancel roughly 3/4 of everything outstanding,
+        // including stale tokens of already-fired entries (their
+        // cancel must report false on both sides).
+        for &(tok, id) in &tokens {
+            if rng.next_below(4) < 3 {
+                assert_eq!(
+                    q.cancel(tok),
+                    spec.cancel(id),
+                    "cancel return diverged at step {step}"
+                );
                 step += 1;
-                check_invariants(&q, &spec, step);
-            }
-            // Keep the stale-token pool bounded (oldest first out);
-            // enough survivors remain to exercise generation checks.
-            if tokens.len() > 4096 {
-                let excess = tokens.len() - 4096;
-                tokens.drain(..excess);
             }
         }
-        assert!(
-            far * 2 > total,
-            "storm drifted: only {far}/{total} deltas beyond the horizon"
-        );
-        assert!(
-            far > 0 && 34_000_000 > HORIZON_NS,
-            "constants drifted: far deltas must start past the horizon"
-        );
-
-        // Full drain: pop order stays identical, and both backends end
-        // with every cancelled slot retired.
-        loop {
-            let a = q.pop();
-            let b = spec.pop();
-            assert_eq!(a, b, "pop diverged during drain at step {step}");
+        check_invariants(&q, &spec, step);
+        // A few pops advance time across the horizon, forcing
+        // overflow promotion through cancelled runs.
+        for _ in 0..6 {
+            assert_eq!(q.pop(), spec.pop(), "pop diverged at step {step}");
             step += 1;
-            if a.is_none() {
-                break;
-            }
             check_invariants(&q, &spec, step);
         }
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        assert_eq!(
-            q.cancelled_backlog(),
-            0,
-            "{backend:?}: leaked cancelled slots after full drain"
-        );
+        // Keep the stale-token pool bounded (oldest first out);
+        // enough survivors remain to exercise generation checks.
+        if tokens.len() > 4096 {
+            let excess = tokens.len() - 4096;
+            tokens.drain(..excess);
+        }
     }
+    assert!(
+        far * 2 > total,
+        "storm drifted: only {far}/{total} deltas beyond the horizon"
+    );
+    assert!(
+        far > 0 && 34_000_000 > HORIZON_NS,
+        "constants drifted: far deltas must start past the horizon"
+    );
+    drain_and_check(&mut q, &mut spec, step);
 }
 
 /// Cold-start and sparse-occupancy differential for the fleet
 /// footprint path: a wheel born with a 2-slot slab and *no*
-/// materialized bucket-head chunks (`with_backend_and_slots` — the
-/// fleet profile's constructor) must stay observably identical to a
-/// fully prewarmed wheel and to the heap reference through:
+/// materialized bucket-head chunks (`with_slots` — the fleet profile's
+/// constructor) must stay observably identical to a fully prewarmed
+/// wheel and to the spec model through:
 ///
 /// - cold-start scheduling straight into absent chunks (the first
 ///   link must materialize exactly the right chunk, not disturb pop
@@ -373,17 +382,17 @@ fn overflow_cancel_storm_retires_every_slot() {
 ///   empty chunks and truncate the slab: the generation floor must
 ///   keep every pre-compaction token dead, and regrowth must not
 ///   perturb ordering;
-/// - stale-token cancels across compactions on all three queues.
+/// - stale-token cancels across compactions.
 #[test]
-fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
+fn cold_start_sparse_occupancy_matches_prewarmed_and_spec() {
     let mut rng = Rng::new(0xC01D_57A7);
     // The fleet-profile wheel: tiny slab, lazy chunks.
-    let mut small: EventQueue<u64> = EventQueue::with_backend_and_slots(QueueBackend::Wheel, 2);
+    let mut small: EventQueue<u64> = EventQueue::with_slots(2);
     // The hot-profile wheel: full slab, every chunk materialized.
-    let mut warm: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel);
+    let mut warm: EventQueue<u64> = EventQueue::new();
     // The ordering reference.
-    let mut heap: EventQueue<u64> = EventQueue::with_backend_and_slots(QueueBackend::Heap, 2);
-    let mut tokens: Vec<(EventToken, EventToken, EventToken)> = Vec::new();
+    let mut spec = SpecQueue::new();
+    let mut tokens: Vec<(EventToken, EventToken, u64)> = Vec::new();
     let mut next_payload = 0u64;
     let mut pops = 0usize;
 
@@ -405,7 +414,7 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
                 tokens.push((
                     small.schedule(t, payload),
                     warm.schedule(t, payload),
-                    heap.schedule(t, payload),
+                    spec.schedule(t, payload),
                 ));
             }
             4 if !tokens.is_empty() => {
@@ -413,47 +422,33 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
                 // tokens from truncated slots must report dead on the
                 // small queue exactly when they do on the others.
                 let i = rng.next_below(tokens.len() as u64) as usize;
-                let (st, wt, ht) = tokens[i];
+                let (st, wt, id) = tokens[i];
                 let a = small.cancel(st);
-                let b = warm.cancel(wt);
-                let c = heap.cancel(ht);
-                assert_eq!(a, b, "small/warm cancel diverged at step {step}");
-                assert_eq!(a, c, "small/heap cancel diverged at step {step}");
+                assert_eq!(a, warm.cancel(wt), "small/warm cancel diverged at {step}");
+                assert_eq!(a, spec.cancel(id), "small/spec cancel diverged at {step}");
             }
             5 => {
                 // Compact the small queue mid-run (the fleet's
-                // post-storm trigger fires with live entries pending);
-                // occasionally compact the heap reference too — both
-                // are observable no-ops.
+                // post-storm trigger fires with live entries pending)
+                // — an observable no-op.
                 small.compact();
-                if rng.next_below(4) == 0 {
-                    heap.compact();
-                }
             }
             _ => {
                 let a = small.pop();
-                let b = warm.pop();
-                let c = heap.pop();
-                assert_eq!(a, b, "small/warm pop diverged at step {step}");
-                assert_eq!(a, c, "small/heap pop diverged at step {step}");
+                assert_eq!(a, warm.pop(), "small/warm pop diverged at step {step}");
+                assert_eq!(a, spec.pop(), "small/spec pop diverged at step {step}");
                 pops += usize::from(a.is_some());
             }
         }
-        assert_eq!(small.len(), heap.len(), "len diverged at step {step}");
-        assert_eq!(
-            small.peek_time(),
-            heap.peek_time(),
-            "peek_time diverged at step {step}"
-        );
+        check_invariants(&small, &spec, step);
+        assert_eq!(warm.peek_time(), spec.peek_time());
     }
 
     // Full drain, then one more cold restart on the compacted queue.
     loop {
         let a = small.pop();
-        let b = warm.pop();
-        let c = heap.pop();
-        assert_eq!(a, b, "small/warm pop diverged during drain");
-        assert_eq!(a, c, "small/heap pop diverged during drain");
+        assert_eq!(a, warm.pop(), "small/warm pop diverged during drain");
+        assert_eq!(a, spec.pop(), "small/spec pop diverged during drain");
         if a.is_none() {
             break;
         }
@@ -461,7 +456,6 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
     }
     assert!(pops > 5_000, "differential exercised too few pops: {pops}");
     small.compact();
-    heap.compact();
     // Post-drain compaction truncates the whole slab; scheduling again
     // regrows from empty with the generation floor raised.
     for i in 0..100u64 {
@@ -469,24 +463,22 @@ fn cold_start_sparse_occupancy_matches_prewarmed_and_heap() {
         tokens.push((
             small.schedule(t, i),
             warm.schedule(t, i),
-            heap.schedule(t, i),
+            spec.schedule(t, i),
         ));
     }
     loop {
         let a = small.pop();
-        let b = warm.pop();
-        let c = heap.pop();
-        assert_eq!(a, b, "regrown small/warm pop diverged");
-        assert_eq!(a, c, "regrown small/heap pop diverged");
+        assert_eq!(a, warm.pop(), "regrown small/warm pop diverged");
+        assert_eq!(a, spec.pop(), "regrown small/spec pop diverged");
         if a.is_none() {
             break;
         }
     }
-    // Every token ever issued is now dead on all three queues.
-    for (st, wt, ht) in tokens {
+    // Every token ever issued is now dead everywhere.
+    for (st, wt, id) in tokens {
         assert!(!small.cancel(st), "stale token revived on small queue");
         assert!(!warm.cancel(wt));
-        assert!(!heap.cancel(ht));
+        assert!(!spec.cancel(id));
     }
 }
 
@@ -507,20 +499,22 @@ fn mixed_delta(rng: &mut Rng) -> SimDuration {
     }
 }
 
-/// ≥100k-op wheel-vs-heap differential: identical `(time, payload)`
-/// pop sequences under interleaved push/cancel/advance, including
-/// same-timestamp FIFO and batch drains.
+/// ≥100k-op wheel-vs-spec differential: identical `(time, payload)`
+/// pop sequences and batch drains under interleaved
+/// push/cancel/advance, with deltas across all three wheel levels,
+/// same-timestamp bursts, equal-deadline re-landings, long idle gaps
+/// and stale-token cancels.
 #[test]
-fn wheel_and_heap_pop_identical_sequences() {
+fn wheel_matches_spec_over_mixed_ops() {
     const OPS: usize = 120_000;
     let mut rng = Rng::new(0xD1FF_5EED);
-    let mut wheel: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Wheel);
-    let mut heap: EventQueue<u64> = EventQueue::with_backend(QueueBackend::Heap);
-    let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut spec = SpecQueue::new();
+    let mut tokens: Vec<(EventToken, u64)> = Vec::new();
     let mut next_payload = 0u64;
     let mut pops = 0usize;
-    let mut wheel_batch = Vec::new();
-    let mut heap_batch = Vec::new();
+    let mut q_batch = Vec::new();
+    let mut spec_batch = Vec::new();
 
     let mut recent_times: Vec<SimTime> = Vec::new();
 
@@ -529,13 +523,11 @@ fn wheel_and_heap_pop_identical_sequences() {
             0..=3 => {
                 // Same-timestamp runs matter most: occasionally push a
                 // small burst at one instant, or re-land on the exact
-                // deadline of a recent pending entry so the wheel's
-                // same-deadline fusion packs them into one slot (the
-                // heap never fuses — pop sequences must still match).
+                // deadline of a recent pending entry.
                 let burst = if rng.next_below(8) == 0 { 4 } else { 1 };
                 let time = match recent_times.get(rng.next_below(8) as usize) {
-                    Some(&t) if rng.next_below(3) == 0 && t >= wheel.now() => t,
-                    _ => wheel.now() + mixed_delta(&mut rng),
+                    Some(&t) if rng.next_below(3) == 0 && t >= q.now() => t,
+                    _ => q.now() + mixed_delta(&mut rng),
                 };
                 recent_times.push(time);
                 if recent_times.len() > 32 {
@@ -544,73 +536,48 @@ fn wheel_and_heap_pop_identical_sequences() {
                 for _ in 0..burst {
                     let payload = next_payload;
                     next_payload += 1;
-                    tokens.push((wheel.schedule(time, payload), heap.schedule(time, payload)));
+                    tokens.push((q.schedule(time, payload), spec.schedule(time, payload)));
                 }
             }
             4 if !tokens.is_empty() => {
+                // Any token ever issued: live, cancelled, fired or
+                // recycled.
                 let i = rng.next_below(tokens.len() as u64) as usize;
-                let (wt, ht) = tokens[i];
+                let (tok, id) = tokens[i];
                 assert_eq!(
-                    wheel.cancel(wt),
-                    heap.cancel(ht),
+                    q.cancel(tok),
+                    spec.cancel(id),
                     "cancel return diverged at step {step}"
                 );
             }
             5 => {
-                // Batch drain: both backends must group the same
-                // same-timestamp run, in the same order. One drain in
-                // four reaches seconds ahead — a long idle gap that
-                // forces the wheel's bulk advance to hop level-1
-                // stretches (and whole wheel spans) without touching
-                // the per-slot cursor.
+                // Batch drain: the same same-timestamp run, in the
+                // same order. One drain in four reaches seconds ahead
+                // — a long idle gap that forces the wheel's bulk
+                // advance to hop level-1 stretches (and whole wheel
+                // spans) without touching the per-slot cursor.
                 let reach = if rng.next_below(4) == 0 {
-                    3_000_000_000 // idle-gap skip: far past most entries
+                    3_000_000_000
                 } else {
                     40_000_000
                 };
-                let limit = wheel.now() + SimDuration::from_nanos(rng.next_below(reach));
-                wheel_batch.clear();
-                heap_batch.clear();
-                let wt = wheel.drain_next_batch(limit, &mut wheel_batch);
-                let ht = heap.drain_next_batch(limit, &mut heap_batch);
-                assert_eq!(wt, ht, "batch timestamp diverged at step {step}");
-                assert_eq!(wheel_batch, heap_batch, "batch diverged at step {step}");
-                if let Err(front) = wt {
-                    // A drain that finds nothing due reports the front.
-                    assert_eq!(
-                        front,
-                        heap.peek_time().unwrap_or(SimTime::MAX),
-                        "reported front diverged at step {step}"
-                    );
-                }
-                pops += wheel_batch.len();
+                let limit = q.now() + SimDuration::from_nanos(rng.next_below(reach));
+                q_batch.clear();
+                spec_batch.clear();
+                let a = q.drain_next_batch(limit, &mut q_batch);
+                let b = spec.drain_next_batch(limit, &mut spec_batch);
+                assert_eq!(a, b, "batch timestamp or front diverged at step {step}");
+                assert_eq!(q_batch, spec_batch, "batch diverged at step {step}");
+                pops += q_batch.len();
             }
             _ => {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "pop diverged at step {step}");
+                let a = q.pop();
+                assert_eq!(a, spec.pop(), "pop diverged at step {step}");
                 pops += usize::from(a.is_some());
             }
         }
-        assert_eq!(wheel.len(), heap.len(), "len diverged at step {step}");
-        assert_eq!(
-            wheel.peek_time(),
-            heap.peek_time(),
-            "peek_time diverged at step {step}"
-        );
-        assert_eq!(wheel.now(), heap.now(), "now diverged at step {step}");
+        check_invariants(&q, &spec, step);
     }
-
-    // Drain both queues completely; tails must match too.
-    loop {
-        let a = wheel.pop();
-        let b = heap.pop();
-        assert_eq!(a, b, "pop diverged during final drain");
-        if a.is_none() {
-            break;
-        }
-        pops += 1;
-    }
-    assert!(wheel.is_empty() && heap.is_empty());
+    pops += drain_and_check(&mut q, &mut spec, OPS);
     assert!(pops > 10_000, "differential exercised too few pops: {pops}");
 }
