@@ -169,7 +169,6 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    taichi_bench::init_policy();
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");

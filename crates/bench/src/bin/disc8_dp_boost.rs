@@ -89,7 +89,6 @@ fn cp_turnaround(cfg: MachineConfig, mode: Mode) -> f64 {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     // The four peak-throughput machine runs are independent: fan them
     // out across workers (baseline 8 DP CPUs vs boosted 10 under
     // Tai Chi, storage IOPS then network CPS).

@@ -78,7 +78,6 @@ fn run(taichi: TaiChiConfig) -> Outcome {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     // The four ablation configs are independent machine runs: fan
     // them out across workers, results in input order.
     let runs = taichi_bench::sweep(

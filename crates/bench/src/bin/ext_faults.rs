@@ -96,7 +96,6 @@ fn run((mode, rate): (Mode, f64)) -> Outcome {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     let mut cases = Vec::new();
     for mode in [Mode::Baseline, Mode::TaiChi] {
         for rate in RATES {

@@ -14,8 +14,8 @@
 //!
 //! Knobs: `--machines N`, `--epochs N`, `--churn F`, `--storm E|off`,
 //! `--sequential`, `--quick` (the CI smoke size: 64 machines x 8
-//! epochs); the `TAICHI_FLEET_*` environment variables cover the same
-//! settings (flags win).
+//! epochs). A bad flag value is a usage error (exit 2) that names the
+//! flag.
 //!
 //! The emitted summary CSV carries memory diagnostics on top of the
 //! identity-compared summary columns: slab/ring high-water marks,
@@ -36,7 +36,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    taichi_bench::init_policy();
     let mut cfg = FleetConfig {
         machines: 64,
         epochs: 12,
@@ -46,7 +45,6 @@ fn main() {
         storm_vms_per_machine: 2,
         ..FleetConfig::default()
     };
-    cfg.apply_env();
 
     let mut driver = FleetDriver::EpochParallel {
         workers: default_workers(),

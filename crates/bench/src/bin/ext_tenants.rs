@@ -24,8 +24,8 @@
 //! violated in any cell.
 //!
 //! Knobs: `--tenants N`, `--weights A:B[:C...]`, `--aggressor I`,
-//! `--horizon-ms N`; the `TAICHI_TENANTS_COUNT` / `TAICHI_TENANTS_WEIGHTS`
-//! environment variables cover the first two (flags win).
+//! `--horizon-ms N`. A bad flag value is a usage error (exit 2) that
+//! names the flag.
 
 use taichi_bench::{emit, seed, sweep_with};
 use taichi_core::audit::check_invariants;
@@ -180,16 +180,9 @@ fn run_cell(k: &Knobs, scenario: Scenario, mult: f64) -> Cell {
 }
 
 fn main() {
-    taichi_bench::init_policy();
-    let mut tcfg = TenantConfig {
-        count: 2,
-        weights: vec![3, 1],
-        ..TenantConfig::default()
-    };
-    tcfg.apply_env();
     let mut k = Knobs {
-        tenants: tcfg.count.max(2),
-        weights: tcfg.weights,
+        tenants: 2,
+        weights: vec![3, 1],
         aggressor: 0, // resolved below: default = last tenant
         horizon: SimDuration::from_millis(20),
         seed: seed(),

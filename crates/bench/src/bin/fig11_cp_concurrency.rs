@@ -85,7 +85,6 @@ fn run(mode: Mode, concurrency: u32) -> f64 {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     let mut t = Table::new(
         "Figure 11: synth_cp avg execution time vs concurrency (DP at ~30%)",
         &["concurrency", "baseline (ms)", "taichi (ms)", "speedup"],

@@ -11,7 +11,6 @@ use taichi_workloads::netperf::{run, NetperfCase};
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::TaiChiVdp, Mode::Type2];
     let s = seed();
     let results = sweep(modes.to_vec(), |m| (m, run(NetperfCase::TcpCrr, m, s)));

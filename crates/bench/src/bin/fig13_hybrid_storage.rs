@@ -9,7 +9,6 @@ use taichi_workloads::fio::FioRw;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let fio = FioRw::default();
     let modes = [Mode::Baseline, Mode::TaiChi, Mode::TaiChiVdp, Mode::Type2];
     let s = seed();

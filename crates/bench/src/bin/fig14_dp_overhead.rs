@@ -11,7 +11,6 @@ use taichi_workloads::sockperf;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let mut t = Table::new(
         "Figure 14: Tai Chi DP performance normalized to baseline",
         &["case", "metric", "baseline", "taichi", "normalized"],

@@ -10,7 +10,6 @@ use taichi_workloads::mysql;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let s = seed();
     let runs = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| mysql::run(m, s));
     let [base, taichi] = <[_; 2]>::try_from(runs).ok().unwrap();

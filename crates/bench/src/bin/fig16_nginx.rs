@@ -10,7 +10,6 @@ use taichi_workloads::nginx;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let s = seed();
     let runs = sweep(vec![Mode::Baseline, Mode::TaiChi], |m| nginx::run(m, s));
     let [base, taichi] = <[_; 2]>::try_from(runs).ok().unwrap();

@@ -62,7 +62,6 @@ fn run(mode: Mode, density: u32) -> f64 {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     let mut t = Table::new(
         "Figure 17: avg VM startup time vs density, with/without Tai Chi",
         &["density", "baseline (ms)", "taichi (ms)", "reduction"],

@@ -77,7 +77,6 @@ fn run_density(density: u32) -> (f64, f64) {
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     // Each density is an independent machine run: fan the four out
     // across workers; results return in density order.
     let rows = taichi_bench::sweep((1..=4u32).collect(), |d| (d, run_density(d)));

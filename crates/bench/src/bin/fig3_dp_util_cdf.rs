@@ -18,7 +18,6 @@ use taichi_sim::{Dist, SimDuration, SimTime};
 
 fn main() {
     init_trace();
-    taichi_bench::init_policy();
     let cfg = MachineConfig {
         seed: seed(),
         ..MachineConfig::default()

@@ -12,7 +12,6 @@ use taichi_sim::{Histogram, Rng};
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     const SAMPLES: u64 = 456_000;
     let dist = fig5_routine_ms();
     let mut rng = Rng::new(seed());

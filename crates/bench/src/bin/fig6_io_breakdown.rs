@@ -14,7 +14,6 @@ use taichi_sim::{OnlineStats, Rng, SimTime};
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let mut accel = Accelerator::new(AcceleratorConfig::default());
     let mut probe = HwWorkloadProbe::new(12);
     let mut rng = Rng::new(seed());

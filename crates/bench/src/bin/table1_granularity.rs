@@ -27,7 +27,6 @@ use taichi_sim::{Histogram, Rng, SimDuration};
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let mut rng = Rng::new(seed());
     let routine_ms = fig5_routine_ms();
 

@@ -12,7 +12,6 @@ use taichi_workloads::fio::FioRw;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let fio = FioRw::default();
     let s = seed();
     // Independent (mode, seed) machine runs fan out across workers;

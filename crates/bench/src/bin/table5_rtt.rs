@@ -13,7 +13,6 @@ use taichi_workloads::ping;
 
 fn main() {
     taichi_bench::init_trace();
-    taichi_bench::init_policy();
     let modes = [
         ("Baseline", Mode::Baseline),
         ("Tai Chi", Mode::TaiChi),

@@ -54,62 +54,39 @@ pub fn seed() -> u64 {
 /// worker count (`TAICHI_WORKERS=1` forces the serial reference path).
 pub use taichi_sim::par::{default_workers, sweep, sweep_with};
 
-/// True when `--trace` was passed to the experiment binary (or the
-/// `TAICHI_TRACE` environment variable is set): binaries then enable
-/// the scheduler trace layer and dump a TSV next to their CSV output.
-pub fn trace_requested() -> bool {
-    std::env::args().any(|a| a == "--trace") || std::env::var("TAICHI_TRACE").is_ok()
+/// Checks the command line of a flag-less experiment binary
+/// (`args[0]` is the program): `--trace` is the only argument it
+/// takes. Returns whether `--trace` was passed, or the usage error for
+/// any other argument — a stale or mistyped flag must not run the
+/// experiment as if it had been honoured.
+fn trace_flag(args: &[String]) -> Result<bool, String> {
+    let program = args.first().map_or("experiment", String::as_str);
+    match args.iter().skip(1).find(|a| *a != "--trace") {
+        Some(bad) => Err(format!(
+            "error: unexpected argument {bad:?}\nusage: {program} [--trace]"
+        )),
+        None => Ok(args.len() > 1),
+    }
 }
 
-/// Call first in an experiment `main`: when `--trace` was passed, arms
-/// the `TAICHI_TRACE` override so every machine the binary builds
-/// (directly or through the workload helpers) records a scheduler
-/// trace. Returns whether tracing is armed. A non-empty `TAICHI_TRACE`
-/// value names the dump path; the empty value armed here keeps the
-/// per-experiment default destinations.
+/// Call first in an experiment `main`: validates the command line
+/// (`--trace` only; anything else exits 2 with a usage line) and, when
+/// `--trace` was passed, arms the `TAICHI_TRACE` override so every
+/// machine the binary builds (directly or through the workload
+/// helpers) records a scheduler trace. Returns whether tracing is
+/// armed (by the flag or by `TAICHI_TRACE` already being set). A
+/// non-empty `TAICHI_TRACE` value names the dump path; the empty value
+/// armed here keeps the per-experiment default destinations.
 pub fn init_trace() -> bool {
-    let on = trace_requested();
-    if on && std::env::var_os("TAICHI_TRACE").is_none() {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = trace_flag(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    if flag && std::env::var_os("TAICHI_TRACE").is_none() {
         std::env::set_var("TAICHI_TRACE", "");
     }
-    on
-}
-
-/// Call first in an experiment `main`: when `--policy <p>` (or
-/// `--policy=<p>`) was passed, validates `p` and arms the
-/// `TAICHI_POLICY` override so every machine the binary builds runs
-/// that scheduling policy regardless of the mode it was built for
-/// (see `taichi_core::sched::PolicyKind`). Returns the selected
-/// policy, `None` when the flag is absent.
-///
-/// An unknown policy name is a hard usage error (exit 2): unlike the
-/// environment variable — where a typo degrades a background knob and
-/// a one-shot warning suffices — an explicit flag that is silently
-/// ignored would render a whole experiment under the wrong scheduler.
-pub fn init_policy() -> Option<taichi_core::PolicyKind> {
-    let mut args = std::env::args().skip(1);
-    let raw = loop {
-        let a = args.next()?;
-        if a == "--policy" {
-            break args.next().unwrap_or_else(|| {
-                eprintln!("error: --policy requires a value (taichi, baseline, or type2)");
-                std::process::exit(2);
-            });
-        }
-        if let Some(v) = a.strip_prefix("--policy=") {
-            break v.to_string();
-        }
-    };
-    match raw.parse::<taichi_core::PolicyKind>() {
-        Ok(kind) => {
-            std::env::set_var("TAICHI_POLICY", kind.to_string());
-            Some(kind)
-        }
-        Err(e) => {
-            eprintln!("error: --policy: {e} (expected taichi, baseline, or type2)");
-            std::process::exit(2);
-        }
-    }
+    flag || std::env::var("TAICHI_TRACE").is_ok()
 }
 
 /// Dumps a machine's scheduler trace as `<name>.trace.tsv` under the
@@ -122,16 +99,8 @@ pub fn emit_trace(name: &str, machine: &taichi_core::machine::Machine) {
     let Some(tsv) = machine.trace_tsv() else {
         return;
     };
-    let path = match std::env::var("TAICHI_TRACE") {
-        Ok(p) if !p.is_empty() => {
-            let (path, clash) = taichi_sim::trace::claim_export_path(&p);
-            if let Some(w) = clash {
-                eprintln!("warning: {name}: {w}");
-            }
-            path
-        }
-        _ => results_dir().join(format!("{name}.trace.tsv")),
-    };
+    let path = taichi_sim::trace::env_export_path(&format!("warning: {name}: "))
+        .unwrap_or_else(|| results_dir().join(format!("{name}.trace.tsv")));
     if let Err(e) = fs::write(&path, tsv) {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
@@ -237,6 +206,23 @@ mod tests {
         // Test environments do not set TAICHI_SEED.
         if std::env::var("TAICHI_SEED").is_err() {
             assert_eq!(seed(), 0xD1CE);
+        }
+    }
+
+    #[test]
+    fn only_the_trace_flag_is_accepted() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(trace_flag(&args(&["fig14"])), Ok(false));
+        assert_eq!(trace_flag(&args(&["fig14", "--trace"])), Ok(true));
+        assert_eq!(trace_flag(&[]), Ok(false));
+        for bad in [
+            &["fig14", "--policy", "baseline"][..],
+            &["fig14", "--trace", "--policy=baseline"],
+            &["fig14", "trace"],
+        ] {
+            let e = trace_flag(&args(bad)).unwrap_err();
+            assert!(e.starts_with("error: unexpected argument"), "{e}");
+            assert!(e.contains("usage: fig14 [--trace]"), "{e}");
         }
     }
 

@@ -12,14 +12,11 @@
 //! is set, to that path as well. The hash of those lines is pinned to
 //! a constant recorded while the heap queue backend still existed and
 //! matched the wheel byte for byte.
-//!
-//! Kept as a single `#[test]` on purpose: the policy-selection check
-//! sets `TAICHI_POLICY`, a process-global environment variable.
 
 use taichi_bench::sweep_with;
 use taichi_core::machine::{Machine, Mode};
 use taichi_core::metrics::RunReport;
-use taichi_core::{MachineConfig, PolicyKind};
+use taichi_core::MachineConfig;
 use taichi_cp::{SynthCp, TaskFactory, VmCreateRequest};
 use taichi_dp::{ArrivalPattern, TrafficGen};
 use taichi_hw::{CpuId, IoKind};
@@ -103,8 +100,7 @@ fn traced_config() -> MachineConfig {
     cfg
 }
 
-/// A hardwired `Mode`-selected run — the pre-refactor construction
-/// path, byte-compared against the policy-selected runs.
+/// A traced run of `mode`, built through the mode's own policy.
 fn run_mode(mode: Mode) -> (Vec<u64>, u64) {
     run_built(Machine::new(traced_config(), mode))
 }
@@ -188,65 +184,6 @@ fn policy_dispatch_is_byte_identical_to_hardwired_modes() {
         got, 0x4179_659f_adab_0d91,
         "per-mode fingerprint lines moved — got {got:#018x}:\n{modes_tsv}"
     );
-
-    // ----------------------------------------------------------------
-    // Policy selection equality. Selecting a policy — through
-    // `MachineConfig::policy` or `TAICHI_POLICY` — must reproduce the
-    // canonical mode's run byte-for-byte, from any starting mode.
-    // ----------------------------------------------------------------
-    assert!(
-        std::env::var_os("TAICHI_POLICY").is_none(),
-        "harness owns TAICHI_POLICY"
-    );
-    for kind in PolicyKind::all() {
-        let reference = run_mode(kind.canonical_mode());
-
-        // Explicit config selection: from the canonical mode (kept
-        // as-is) and from every mode whose own policy disagrees (all
-        // re-resolve to the selected policy's canonical mode). Modes
-        // whose policy already matches keep their richer shape — the
-        // vdp check below pins that case.
-        let froms = Mode::all()
-            .into_iter()
-            .filter(|&m| m == kind.canonical_mode() || PolicyKind::for_mode(m) != kind);
-        for from in froms {
-            let cfg = MachineConfig {
-                policy: Some(kind),
-                ..traced_config()
-            };
-            assert_eq!(
-                run_built(Machine::new(cfg, from)),
-                reference,
-                "cfg.policy={kind} from mode {from} must match {}",
-                kind.canonical_mode()
-            );
-        }
-
-        // Environment selection with the config left at `None`.
-        std::env::set_var("TAICHI_POLICY", kind.to_string());
-        let via_env = run_built(Machine::new(traced_config(), Mode::Baseline));
-        std::env::remove_var("TAICHI_POLICY");
-        assert_eq!(
-            via_env,
-            reference,
-            "TAICHI_POLICY={kind} must match mode {}",
-            kind.canonical_mode()
-        );
-    }
-
-    // Selecting a policy that already matches the mode's own keeps the
-    // richer mode: `--policy taichi` on a vDP run stays taichi-vdp.
-    let vdp_ref = run_mode(Mode::TaiChiVdp);
-    let cfg = MachineConfig {
-        policy: Some(PolicyKind::TaiChi),
-        ..traced_config()
-    };
-    assert_eq!(
-        run_built(Machine::new(cfg, Mode::TaiChiVdp)),
-        vdp_ref,
-        "matching policy selection must not flatten taichi-vdp"
-    );
-    lines.push("policy-selection\tok".to_string());
 
     // Persist the fingerprints for the CI artifact and for manual
     // before/after diffs across refactors.

@@ -92,27 +92,25 @@ impl Default for TenantConfig {
     }
 }
 
-/// Parses `TAICHI_TENANTS_COUNT` / `--tenants` (a tenant count >= 1).
+/// Parses `--tenants` (a tenant count >= 1).
 pub fn parse_tenant_count(s: &str) -> Result<u32, String> {
     match s.trim().parse::<u32>() {
         Ok(0) | Err(_) => Err(format!(
-            "warning: {s:?} is not a valid tenant count \
-             (expected an integer >= 1); using the default"
+            "error: --tenants {s:?} is not a valid tenant count \
+             (expected an integer >= 1)"
         )),
         Ok(n) => Ok(n),
     }
 }
 
-/// Parses `TAICHI_TENANTS_WEIGHTS` / `--weights`: colon-separated DRR
-/// weights, e.g. `3:1` (zero entries are rejected — a zero weight
-/// would starve a tenant forever, which the `TenantConfig` layer bumps
-/// to 1 anyway).
+/// Parses `--weights`: colon-separated DRR weights, e.g. `3:1` (zero
+/// entries are rejected — a zero weight would starve a tenant forever,
+/// which the `TenantConfig` layer bumps to 1 anyway).
 pub fn parse_tenant_weights(s: &str) -> Result<Vec<u64>, String> {
     let err = || {
         format!(
-            "warning: {s:?} is not a valid weight vector \
-             (expected colon-separated integers >= 1, e.g. \"3:1\"); \
-             using the default"
+            "error: --weights {s:?} is not a valid weight vector \
+             (expected colon-separated integers >= 1, e.g. \"3:1\")"
         )
     };
     let ws: Result<Vec<u64>, ()> = s
@@ -133,20 +131,6 @@ impl TenantConfig {
     /// True when the multi-tenant machinery should be constructed.
     pub fn is_multi(&self) -> bool {
         self.count > 1
-    }
-
-    /// Overlays the `TAICHI_TENANTS_COUNT` and `TAICHI_TENANTS_WEIGHTS`
-    /// environment knobs on this config, following the workspace
-    /// convention (unset keeps, valid applies, invalid warns once and
-    /// keeps).
-    pub fn apply_env(&mut self) {
-        use taichi_sim::env::env_parse_or_warn;
-        if let Some(v) = env_parse_or_warn("TAICHI_TENANTS_COUNT", parse_tenant_count) {
-            self.count = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_TENANTS_WEIGHTS", parse_tenant_weights) {
-            self.weights = v;
-        }
     }
 
     /// The effective weight vector: `weights` normalized to exactly
@@ -191,14 +175,6 @@ pub struct MachineConfig {
     /// `TAICHI_FAULTS` environment variable overlays this at machine
     /// construction.
     pub faults: FaultPlan,
-    /// Explicit scheduling-policy override. `None` (the default)
-    /// derives the policy from the run's [`Mode`] — or from the
-    /// `TAICHI_POLICY` environment variable when that is set. `Some`
-    /// wins over both: a machine built for one mode re-resolves to the
-    /// policy's canonical mode (see [`crate::sched::PolicyKind`]).
-    ///
-    /// [`Mode`]: crate::machine::Mode
-    pub policy: Option<crate::sched::PolicyKind>,
     /// Memory-footprint profile: `Hot` (the default) makes every
     /// worst-case reservation at construction so the steady-state loop
     /// never allocates; `Fleet` starts the event slab, skipped-deadline
@@ -223,7 +199,6 @@ impl Default for MachineConfig {
             seed: 0xD1CE,
             trace: TraceConfig::default(),
             faults: FaultPlan::default(),
-            policy: None,
             footprint: FootprintProfile::default(),
         }
     }
@@ -261,6 +236,15 @@ mod tests {
         assert!(parse_tenant_weights("3:0").is_err());
         assert!(parse_tenant_weights("").is_err());
         assert!(parse_tenant_weights("a:b").is_err());
+        // Rejections name the flag and promise no fallback: the binary
+        // exits on them.
+        for (e, flag) in [
+            (parse_tenant_count("0").unwrap_err(), "--tenants"),
+            (parse_tenant_weights("3:0").unwrap_err(), "--weights"),
+        ] {
+            assert!(e.starts_with("error: ") && e.contains(flag), "{e}");
+            assert!(!e.contains("using the default"), "{e}");
+        }
     }
 
     #[test]

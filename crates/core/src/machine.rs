@@ -30,7 +30,7 @@
 use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
 use crate::probe_sw::AdaptiveYield;
-use crate::sched::{make_scheduler, KernelCtx, PolicyKind, Scheduler};
+use crate::sched::{make_scheduler, KernelCtx, Scheduler};
 use crate::vcpu_sched::VcpuScheduler;
 
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
@@ -422,21 +422,9 @@ macro_rules! sched_ctx {
 }
 
 impl Machine {
-    /// Builds a machine in the given mode.
-    ///
-    /// An explicit policy selection — `cfg.policy`, or the
-    /// `TAICHI_POLICY` environment variable when the config leaves it
-    /// `None` — wins over `mode` when the two disagree: the machine
-    /// re-resolves to the selected policy's canonical mode. When the
-    /// selection matches the mode's own policy (e.g. `taichi` on any
-    /// Tai Chi ablation mode), the richer mode is kept unchanged, so
-    /// `--policy taichi` never flattens `taichi-vdp` into plain
-    /// `taichi`.
+    /// Builds a machine in the given mode; the mode alone selects the
+    /// scheduling policy ([`make_scheduler`]).
     pub fn new(cfg: MachineConfig, mode: Mode) -> Self {
-        let mode = match cfg.policy.or_else(PolicyKind::from_env) {
-            Some(kind) if PolicyKind::for_mode(mode) != kind => kind.canonical_mode(),
-            _ => mode,
-        };
         let policy = make_scheduler(mode, &cfg);
         // Borrowed, not cloned: thousands of short-lived machines go
         // through here under `par::sweep`, and the spec is only read
@@ -1971,11 +1959,6 @@ impl Machine {
     /// The hardware workload probe (check/IRQ counters).
     pub fn hw_probe(&self) -> &HwWorkloadProbe {
         &self.hw_probe
-    }
-
-    /// The active scheduling policy (decision layer).
-    pub fn policy(&self) -> &dyn Scheduler {
-        self.policy.as_ref()
     }
 
     /// The adaptive yield controller (the active policy's view).

@@ -147,55 +147,44 @@ impl Default for FleetConfig {
 }
 
 // ---------------------------------------------------------------------
-// TAICHI_FLEET_* environment knobs.
+// `ext_fleet` flag parsers.
 // ---------------------------------------------------------------------
 
-/// Parses `TAICHI_FLEET_MACHINES` (a machine count >= 1).
+/// Parses `--machines` (a machine count >= 1).
 pub fn parse_machines(s: &str) -> Result<usize, String> {
     match s.trim().parse::<usize>() {
         Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_MACHINES={s:?} is not a valid machine \
-             count (expected an integer >= 1); using the default"
+            "error: --machines {s:?} is not a valid machine count \
+             (expected an integer >= 1)"
         )),
         Ok(n) => Ok(n),
     }
 }
 
-/// Parses `TAICHI_FLEET_EPOCHS` (an epoch count >= 1).
+/// Parses `--epochs` (an epoch count >= 1).
 pub fn parse_epochs(s: &str) -> Result<usize, String> {
     match s.trim().parse::<usize>() {
         Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_EPOCHS={s:?} is not a valid epoch \
-             count (expected an integer >= 1); using the default"
+            "error: --epochs {s:?} is not a valid epoch count \
+             (expected an integer >= 1)"
         )),
         Ok(n) => Ok(n),
     }
 }
 
-/// Parses `TAICHI_FLEET_EPOCH_US` (epoch length in microseconds >= 1).
-pub fn parse_epoch_us(s: &str) -> Result<SimDuration, String> {
-    match s.trim().parse::<u64>() {
-        Ok(0) | Err(_) => Err(format!(
-            "warning: TAICHI_FLEET_EPOCH_US={s:?} is not a valid epoch \
-             length (expected microseconds >= 1); using the default"
-        )),
-        Ok(us) => Ok(SimDuration::from_micros(us)),
-    }
-}
-
-/// Parses `TAICHI_FLEET_CHURN` (expected VM placements per epoch,
-/// a finite value >= 0).
+/// Parses `--churn` (expected VM placements per epoch, a finite
+/// value >= 0).
 pub fn parse_churn(s: &str) -> Result<f64, String> {
     match s.trim().parse::<f64>() {
         Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
         _ => Err(format!(
-            "warning: TAICHI_FLEET_CHURN={s:?} is not a valid churn rate \
-             (expected a finite number >= 0); using the default"
+            "error: --churn {s:?} is not a valid churn rate \
+             (expected a finite number >= 0)"
         )),
     }
 }
 
-/// Parses `TAICHI_FLEET_STORM` (`off`, or the storm epoch index).
+/// Parses `--storm` (`off`, or the storm epoch index).
 pub fn parse_storm(s: &str) -> Result<Option<usize>, String> {
     let t = s.trim();
     if t.eq_ignore_ascii_case("off") {
@@ -203,36 +192,13 @@ pub fn parse_storm(s: &str) -> Result<Option<usize>, String> {
     }
     t.parse::<usize>().map(Some).map_err(|_| {
         format!(
-            "warning: TAICHI_FLEET_STORM={s:?} is not a valid storm epoch \
-             (expected \"off\" or an epoch index); using the default"
+            "error: --storm {s:?} is not a valid storm epoch \
+             (expected \"off\" or an epoch index)"
         )
     })
 }
 
 impl FleetConfig {
-    /// Overlays the `TAICHI_FLEET_*` environment knobs on this config.
-    /// Each knob follows the workspace convention: unset keeps the
-    /// current value, a valid value applies, and an invalid value
-    /// keeps the current value with a one-shot warning to stderr.
-    pub fn apply_env(&mut self) {
-        use taichi_sim::env::env_parse_or_warn;
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_MACHINES", parse_machines) {
-            self.machines = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_EPOCHS", parse_epochs) {
-            self.epochs = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_EPOCH_US", parse_epoch_us) {
-            self.epoch_len = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_CHURN", parse_churn) {
-            self.churn_per_epoch = v;
-        }
-        if let Some(v) = env_parse_or_warn("TAICHI_FLEET_STORM", parse_storm) {
-            self.storm_epoch = v;
-        }
-    }
-
     /// Start of epoch `e`.
     fn epoch_start(&self, e: usize) -> SimTime {
         SimTime::ZERO + self.epoch_len.saturating_mul(e as u64)
@@ -1306,73 +1272,28 @@ mod tests {
     }
 
     #[test]
-    fn env_knob_parsers_accept_and_reject() {
+    fn flag_parsers_accept_and_reject() {
         assert_eq!(parse_machines("64"), Ok(64));
         assert!(parse_machines("0").is_err());
         assert!(parse_machines("lots").unwrap_err().contains("machine"));
         assert_eq!(parse_epochs(" 12 "), Ok(12));
         assert!(parse_epochs("-3").is_err());
-        assert_eq!(parse_epoch_us("250"), Ok(SimDuration::from_micros(250)));
-        assert!(parse_epoch_us("0").is_err());
         assert_eq!(parse_churn("1.5"), Ok(1.5));
         assert!(parse_churn("NaN").is_err());
         assert!(parse_churn("-1").is_err());
         assert_eq!(parse_storm("off"), Ok(None));
         assert_eq!(parse_storm("4"), Ok(Some(4)));
         assert!(parse_storm("sometime").is_err());
-    }
-
-    // Single test for everything that mutates TAICHI_FLEET_* env vars:
-    // they are process-global, and sibling tests run in parallel.
-    #[test]
-    fn env_overlay_applies_valid_values_and_warns_on_bad_ones() {
-        use taichi_sim::env::{reset_warned, warn_once};
-        for var in [
-            "TAICHI_FLEET_MACHINES",
-            "TAICHI_FLEET_EPOCHS",
-            "TAICHI_FLEET_EPOCH_US",
-            "TAICHI_FLEET_CHURN",
-            "TAICHI_FLEET_STORM",
+        // Rejections name the flag and promise no fallback: the binary
+        // exits on them.
+        for (e, flag) in [
+            (parse_machines("0").unwrap_err(), "--machines"),
+            (parse_epochs("0").unwrap_err(), "--epochs"),
+            (parse_churn("-1").unwrap_err(), "--churn"),
+            (parse_storm("sometime").unwrap_err(), "--storm"),
         ] {
-            reset_warned(var);
-            std::env::set_var(var, "bogus!");
+            assert!(e.starts_with("error: ") && e.contains(flag), "{e}");
+            assert!(!e.contains("using the default"), "{e}");
         }
-        let mut cfg = FleetConfig::default();
-        let before = cfg.clone();
-        cfg.apply_env();
-        assert_eq!(cfg.machines, before.machines);
-        assert_eq!(cfg.epochs, before.epochs);
-        assert_eq!(cfg.epoch_len, before.epoch_len);
-        assert_eq!(cfg.churn_per_epoch, before.churn_per_epoch);
-        assert_eq!(cfg.storm_epoch, before.storm_epoch);
-        for var in [
-            "TAICHI_FLEET_MACHINES",
-            "TAICHI_FLEET_EPOCHS",
-            "TAICHI_FLEET_EPOCH_US",
-            "TAICHI_FLEET_CHURN",
-            "TAICHI_FLEET_STORM",
-        ] {
-            // The one-shot warning already fired for this var, so a
-            // second emission attempt reports "already warned".
-            assert!(
-                !warn_once(var, "probe"),
-                "{var} must have warned during apply_env"
-            );
-            std::env::remove_var(var);
-            reset_warned(var);
-        }
-
-        // Valid values apply (same test: the vars are process-global).
-        std::env::set_var("TAICHI_FLEET_MACHINES", "9");
-        std::env::set_var("TAICHI_FLEET_STORM", "off");
-        let mut cfg = FleetConfig {
-            storm_epoch: Some(3),
-            ..FleetConfig::default()
-        };
-        cfg.apply_env();
-        std::env::remove_var("TAICHI_FLEET_MACHINES");
-        std::env::remove_var("TAICHI_FLEET_STORM");
-        assert_eq!(cfg.machines, 9);
-        assert_eq!(cfg.storm_epoch, None);
     }
 }

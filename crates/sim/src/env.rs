@@ -1,15 +1,17 @@
 //! One-shot parsing of `TAICHI_*` environment overrides.
 //!
-//! Every selector the simulator reads from the environment
-//! (`TAICHI_SEED`, `TAICHI_WORKERS`, `TAICHI_FAULTS`, `TAICHI_POLICY`,
-//! the `TAICHI_TENANTS_*` and `TAICHI_FLEET_*` knobs) shares the same
-//! contract: unset means the default, a valid value applies, and an
-//! invalid value falls back **with a warning** — silently ignoring a
-//! typoed selector would fake a comparison run. The warning must also
-//! not repeat: several of these variables are consulted per
-//! constructed object (every `Machine` re-reads `TAICHI_FAULTS` and
-//! `TAICHI_POLICY`), and a 100k-machine sweep repeating the same line
-//! 100k times buries the one occurrence that matters.
+//! The simulator reads four variables, none of which has a flag twin:
+//! `TAICHI_SEED` and `TAICHI_WORKERS` (run seed and sweep worker
+//! count), and the debugging overlays `TAICHI_FAULTS` and
+//! `TAICHI_TRACE` (any value arms tracing; a non-empty one names the
+//! dump path). The parsed ones share one contract: unset means the
+//! default, a valid value applies, and an invalid value falls back
+//! **with a warning** — silently ignoring a typoed selector would fake a
+//! comparison run. The warning must also not repeat: `TAICHI_FAULTS`
+//! is consulted per constructed `Machine`, and a 100k-machine sweep
+//! repeating the same line 100k times buries the one occurrence that
+//! matters. Everything else — the scheduling regime included — is set
+//! in code or by a command-line flag, never here.
 //!
 //! [`env_parse_or_warn`] centralizes the read-parse-warn-once shape;
 //! [`warn_once`] is the underlying deduplicated emitter for callers

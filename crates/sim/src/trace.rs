@@ -573,6 +573,22 @@ pub fn claim_export_path(path: &str) -> (std::path::PathBuf, Option<String>) {
     }
 }
 
+/// Resolves the explicit destination of one ring's trace export: a
+/// non-empty `TAICHI_TRACE` names it, claimed per export through
+/// [`claim_export_path`], with any clash warning printed to stderr
+/// after `warn_prefix`. `None` when the variable is unset or empty, so
+/// the caller's default destination (if any) applies.
+pub fn env_export_path(warn_prefix: &str) -> Option<std::path::PathBuf> {
+    let path = std::env::var("TAICHI_TRACE")
+        .ok()
+        .filter(|p| !p.is_empty())?;
+    let (path, clash) = claim_export_path(&path);
+    if let Some(w) = clash {
+        eprintln!("{warn_prefix}{w}");
+    }
+    Some(path)
+}
+
 /// Forgets all claimed export destinations (test helper, mirroring
 /// `env::reset_warned`).
 #[doc(hidden)]
@@ -605,17 +621,11 @@ impl Drop for FailureDump {
         if !std::thread::panicking() {
             return;
         }
-        let Ok(path) = std::env::var("TAICHI_TRACE") else {
+        let prefix = format!("[taichi-trace] {}: warning: ", self.label);
+        let Some(path) = env_export_path(&prefix) else {
             return;
         };
-        if path.is_empty() {
-            return;
-        }
-        let (path, clash) = claim_export_path(&path);
         let path = path.display();
-        if let Some(w) = clash {
-            eprintln!("[taichi-trace] {}: warning: {w}", self.label);
-        }
         match std::fs::write(path.to_string(), self.tracer.to_tsv()) {
             Ok(()) => eprintln!("[taichi-trace] {}: wrote {path}", self.label),
             Err(e) => eprintln!("[taichi-trace] {}: could not write {path}: {e}", self.label),

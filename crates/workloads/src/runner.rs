@@ -225,23 +225,14 @@ pub fn measure_cfg(
 /// schedule behind the numbers a benchmark just printed.
 fn maybe_dump_trace(m: &Machine) {
     let Some(tsv) = m.trace_tsv() else { return };
-    let path = match std::env::var("TAICHI_TRACE") {
-        Ok(p) if !p.is_empty() => {
-            // Per-export destination claim: a process that measures
-            // several machines must not clobber earlier rings' TSVs
-            // (later exports land at `<path>.<n>`).
-            let (path, clash) = taichi_sim::trace::claim_export_path(&p);
-            if let Some(w) = clash {
-                eprintln!("warning: {w}");
-            }
-            path
-        }
-        _ => {
-            let dir = std::path::PathBuf::from("target/experiments");
-            let _ = std::fs::create_dir_all(&dir);
-            dir.join(format!("{}.trace.tsv", m.mode()))
-        }
-    };
+    // Per-export destination claim: a process that measures several
+    // machines must not clobber earlier rings' TSVs (later exports land
+    // at `<path>.<n>`).
+    let path = taichi_sim::trace::env_export_path("warning: ").unwrap_or_else(|| {
+        let dir = std::path::PathBuf::from("target/experiments");
+        let _ = std::fs::create_dir_all(&dir);
+        dir.join(format!("{}.trace.tsv", m.mode()))
+    });
     if let Err(e) = std::fs::write(&path, tsv) {
         eprintln!("warning: could not write trace {}: {e}", path.display());
     } else {
