@@ -8,13 +8,10 @@
 use std::hint::black_box;
 
 use taichi_bench::bench;
-use taichi_core::machine::FaultHealth;
 use taichi_core::orchestrator::IpiOrchestrator;
 use taichi_core::probe_sw::AdaptiveYield;
-use taichi_core::sched::{make_scheduler, KernelCtx};
 use taichi_core::slice::AdaptiveSlice;
 use taichi_core::vcpu_sched::VcpuScheduler;
-use taichi_core::{MachineConfig, Mode};
 use taichi_hw::{CpuId, HwWorkloadProbe, IpiMessage, IrqVector};
 use taichi_os::{Kernel, KernelConfig, SoftirqKind};
 use taichi_sim::{EventQueue, Histogram, Rng, SimDuration, SimTime};
@@ -54,30 +51,17 @@ fn main() {
     };
     bench("ipi_route", || orch.route(black_box(msg), |i| i % 2 == 0));
 
-    // The trait-dispatched vCPU pick, end to end: dyn call + ctx
-    // helpers reading real kernel state (descheduled check + pending
-    // softirq work on the back half of the pool).
+    // The vCPU pick, end to end: the round-robin scan reading real
+    // kernel state (descheduled check + pending softirq work on the
+    // back half of the pool).
     let mut pick_kernel = Kernel::new(KernelConfig::default(), &cp);
     let mut pick_orch = IpiOrchestrator::new(12);
     let vcpu_ids = pick_orch.register_vcpus(&mut pick_kernel, 8, SimTime::ZERO);
     for &v in &vcpu_ids[4..] {
         pick_kernel.softirqs().raise(v, SoftirqKind::TaiChiVcpu);
     }
-    let vsched = VcpuScheduler::new(&vcpu_ids, 12);
-    let hw = HwWorkloadProbe::new(12);
-    let health = FaultHealth::default();
-    let mut policy = make_scheduler(Mode::TaiChi, &MachineConfig::default());
-    bench("policy_pick_vcpu", || {
-        let ctx = KernelCtx {
-            kernel: &pick_kernel,
-            vsched: &vsched,
-            orchestrator: &pick_orch,
-            probe: &hw,
-            health: &health,
-            now: SimTime::ZERO,
-        };
-        policy.pick_vcpu(black_box(&ctx))
-    });
+    let mut vsched = VcpuScheduler::new(&vcpu_ids, 12);
+    bench("vcpu_pick", || vsched.pick_vcpu(black_box(&pick_kernel)));
 
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut t = 0u64;

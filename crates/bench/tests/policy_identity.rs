@@ -1,10 +1,11 @@
-//! Byte-identity harness for the pluggable scheduler-policy migration.
+//! Byte-identity harness for the scheduling modes.
 //!
-//! The `trait Scheduler` refactor must be provably behavior-preserving:
-//! for every existing [`Mode`], a trait-dispatched run has to produce
-//! the same trace TSV, the same stats fingerprint, and the same
-//! experiment CSV as the hardwired pre-refactor code, and the CSV must
-//! not depend on the sweep worker count (1 vs 4).
+//! Every [`Mode`] must keep producing the same trace TSV, the same
+//! stats fingerprint, and the same experiment CSV as the code the
+//! hash below was recorded on, whatever shape the scheduler takes
+//! (today: direct calls on `VcpuScheduler` and the adaptive yield and
+//! slice controllers), and the CSV must not depend on the sweep worker
+//! count (1 vs 4).
 //!
 //! The harness renders one fingerprint line per mode into
 //! `target/experiments/policy_fingerprints.tsv` (uploaded as a CI
@@ -100,7 +101,7 @@ fn traced_config() -> MachineConfig {
     cfg
 }
 
-/// A traced run of `mode`, built through the mode's own policy.
+/// A traced run of `mode`.
 fn run_mode(mode: Mode) -> (Vec<u64>, u64) {
     run_built(Machine::new(traced_config(), mode))
 }

@@ -11,7 +11,8 @@
 //!
 //! - [`vcpu_sched::VcpuScheduler`] (§4.1): the softirq-based vCPU
 //!   scheduler — round-robin placement of runnable vCPUs onto idle DP
-//!   pCPUs, adaptive time slices, and safe lock-context rescheduling.
+//!   pCPUs and safe lock-context rescheduling, with
+//!   [`slice::AdaptiveSlice`] sizing each grant.
 //! - [`orchestrator::IpiOrchestrator`] (§4.2): the unified IPI
 //!   orchestrator — intercepts every IPI and routes it across the
 //!   virtualization boundary, and registers vCPUs as native OS CPUs via
@@ -21,10 +22,11 @@
 //!   on the software side, V-state/P-state packet-arrival preemption on
 //!   the hardware side.
 //! - [`machine::Machine`]: the full-system composition driving the
-//!   discrete-event simulation, with [`machine::Mode`] selecting Tai
-//!   Chi, the production static-partitioning baseline, the Tai Chi-vDP
-//!   (type-1-like) and QEMU/KVM (type-2) comparison points, and the
-//!   no-hardware-probe ablation.
+//!   discrete-event simulation and calling the components above
+//!   directly at each decision point, with [`machine::Mode`] selecting
+//!   Tai Chi, the production static-partitioning baseline, the Tai
+//!   Chi-vDP (type-1-like) and QEMU/KVM (type-2) comparison points,
+//!   and the no-hardware-probe ablation.
 
 pub mod audit;
 pub mod config;
@@ -32,7 +34,6 @@ pub mod machine;
 pub mod metrics;
 pub mod orchestrator;
 pub mod probe_sw;
-pub mod sched;
 pub mod slice;
 pub mod vcpu_sched;
 
@@ -42,4 +43,3 @@ pub use config::{
 };
 pub use machine::{FaultHealth, Machine, Mode};
 pub use metrics::RunReport;
-pub use sched::{make_scheduler, KernelCtx, ReschedulePick, Scheduler};

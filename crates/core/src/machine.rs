@@ -26,11 +26,17 @@
 //! within the 2 µs switch latency, overlapped with the 3.2 µs
 //! preprocess+transfer window, so the DP service is back on the core
 //! before the packet reaches shared memory.
+//!
+//! Both paths call Tai Chi's decisions directly: the vCPU pick and the
+//! lock-context reschedule host on [`VcpuScheduler`], the yield
+//! threshold and grant slice on the machine's [`AdaptiveYield`] and
+//! [`AdaptiveSlice`]. The mode alone decides whether they run at all
+//! ([`Mode::has_taichi`]).
 
 use crate::config::MachineConfig;
 use crate::orchestrator::{IpiOrchestrator, RouteDecision};
 use crate::probe_sw::AdaptiveYield;
-use crate::sched::{make_scheduler, KernelCtx, Scheduler};
+use crate::slice::AdaptiveSlice;
 use crate::vcpu_sched::VcpuScheduler;
 
 use taichi_cp::{CpTaskKind, TaskFactory, VmCreateRequest, VmStartupTracker};
@@ -281,10 +287,10 @@ pub struct Machine {
     kernel: Kernel,
     orchestrator: IpiOrchestrator,
     vsched: VcpuScheduler,
-    /// The scheduling policy: every decision point below dispatches
-    /// through this trait object over a [`KernelCtx`] view, so
-    /// swapping policies never touches the mechanism.
-    policy: Box<dyn Scheduler>,
+    /// Per-CPU empty-poll yield thresholds (§4.3).
+    yield_ctl: AdaptiveYield,
+    /// Per-CPU grant slices (§4.1).
+    slice_ctl: AdaptiveSlice,
 
     services: Vec<DpService>,
     dp_cpu_ids: Vec<CpuId>,
@@ -315,10 +321,6 @@ pub struct Machine {
     /// counted once the clock reaches their deadline (each one a
     /// stale-generation no-op the handler would have ignored).
     events_skipped: u64,
-    /// Cached `policy.uses_vcpus()` — the policy never changes after
-    /// construction, and the flag gates every idle-arm and CP-fill
-    /// pass, so the virtual call is hoisted out of the hot loop.
-    uses_vcpus: bool,
     /// Outstanding timer tokens for the skip layer (the most recent
     /// DpIdle per service / slice expiry per vCPU / decision tick per
     /// CPU), each paired with its deadline. A stale entry is harmless:
@@ -405,27 +407,23 @@ fn exit_reason_name(reason: VmExitReason) -> &'static str {
     }
 }
 
-/// Builds the policy's [`KernelCtx`] view inline from disjoint machine
-/// fields, so `self.policy.method(&sched_ctx!(self), ..)` borrow-checks
-/// (`policy` mutably, the viewed subsystems immutably).
-macro_rules! sched_ctx {
-    ($m:expr) => {
-        KernelCtx {
-            kernel: &$m.kernel,
-            vsched: &$m.vsched,
-            orchestrator: &$m.orchestrator,
-            probe: &$m.hw_probe,
-            health: &$m.health,
-            now: $m.now,
-        }
-    };
-}
-
 impl Machine {
     /// Builds a machine in the given mode; the mode alone selects the
-    /// scheduling policy ([`make_scheduler`]).
+    /// scheduling regime.
     pub fn new(cfg: MachineConfig, mode: Mode) -> Self {
-        let policy = make_scheduler(mode, &cfg);
+        // Built in every mode (baseline modes just never adapt them),
+        // so their bound asserts reject a bad config up front.
+        let yield_ctl = AdaptiveYield::new(
+            cfg.spec.num_cpus,
+            cfg.taichi.initial_yield_threshold,
+            cfg.taichi.min_yield_threshold,
+            cfg.taichi.max_yield_threshold,
+        );
+        let slice_ctl = AdaptiveSlice::new(
+            cfg.spec.num_cpus,
+            cfg.taichi.initial_slice,
+            cfg.taichi.max_slice,
+        );
         // Borrowed, not cloned: thousands of short-lived machines go
         // through here under `par::sweep`, and the spec is only read
         // during construction.
@@ -441,7 +439,7 @@ impl Machine {
 
         let mut kernel = Kernel::new(cfg.kernel.clone(), &cp_cpu_ids);
         let mut orchestrator = IpiOrchestrator::new(spec.num_cpus);
-        let num_vcpus = if policy.uses_vcpus() {
+        let num_vcpus = if mode.has_taichi() {
             cfg.taichi.num_vcpus
         } else {
             0
@@ -494,7 +492,10 @@ impl Machine {
         }
 
         let mut hw_probe = HwWorkloadProbe::new(spec.num_cpus);
-        if !policy.hw_probe_enabled() {
+        // The hardware probe (the CP→DP preempt path of Fig. 7b) is
+        // armed only where vCPUs harvest DP cycles, minus the Table 5
+        // ablation.
+        if !matches!(mode, Mode::TaiChi | Mode::TaiChiVdp) {
             hw_probe.set_enabled(false);
         }
 
@@ -548,7 +549,6 @@ impl Machine {
 
         let n_v = vcpu_ids.len();
         let sources = SourceKeys::new(1 + services.len());
-        let uses_vcpus = policy.uses_vcpus();
         Machine {
             accel,
             hw_probe,
@@ -556,7 +556,8 @@ impl Machine {
             kernel,
             orchestrator,
             vsched,
-            policy,
+            yield_ctl,
+            slice_ctl,
             services,
             dp_cpu_ids,
             cp_cpu_ids,
@@ -569,7 +570,6 @@ impl Machine {
             cp_fill_dirty: true,
             events_dispatched: 0,
             events_skipped: 0,
-            uses_vcpus,
             dp_idle_tok: vec![None; dp_count as usize],
             vcpu_slice_tok: vec![None; n_v],
             kernel_tok: Vec::new(),
@@ -1000,7 +1000,7 @@ impl Machine {
         for cpu in self.kernel.known_cpus() {
             self.rearm_kernel(cpu);
         }
-        if self.uses_vcpus {
+        if self.mode.has_taichi() {
             for i in 0..self.services.len() {
                 let host = self.dp_cpu_ids[i];
                 self.arm_dp_idle(host);
@@ -1096,7 +1096,7 @@ impl Machine {
     /// task off a CPU, exactly like Linux). This is the same placement
     /// machinery §4.1 uses for the lock-safety CP-pCPU fallback.
     fn fill_idle_cp_hosts(&mut self) {
-        if !self.uses_vcpus {
+        if !self.mode.has_taichi() {
             return;
         }
         for i in 0..self.cp_cpu_ids.len() {
@@ -1107,7 +1107,7 @@ impl Machine {
             {
                 continue;
             }
-            let Some(idx) = self.policy.pick_vcpu(&sched_ctx!(self)) else {
+            let Some(idx) = self.vsched.pick_vcpu(&self.kernel) else {
                 break;
             };
             self.place_vcpu(idx, cp);
@@ -1286,7 +1286,7 @@ impl Machine {
     // ---------------------------------------------------------------
 
     fn arm_dp_idle(&mut self, host: CpuId) {
-        if !self.uses_vcpus {
+        if !self.mode.has_taichi() {
             return;
         }
         let Some(si) = self.dp_index(host) else {
@@ -1295,7 +1295,7 @@ impl Machine {
         if !self.vsched.host_free(host) {
             return;
         }
-        let threshold = self.policy.yield_threshold(&sched_ctx!(self), host);
+        let threshold = self.yield_ctl.threshold(host);
         let Some(t) = self.services[si].idle_notify_time(threshold) else {
             return;
         };
@@ -1336,8 +1336,7 @@ impl Machine {
             );
             return;
         }
-        let pick = self.policy.pick_vcpu(&sched_ctx!(self));
-        match pick {
+        match self.vsched.pick_vcpu(&self.kernel) {
             Some(idx) => self.place_vcpu(idx, host),
             None => {
                 // Nothing runnable: stay armed so a CP kick can use
@@ -1438,7 +1437,7 @@ impl Machine {
             )
         });
         self.trace(host, TraceKind::VmEnter { vcpu: idx as u32 });
-        let slice = self.policy.grant_slice(&sched_ctx!(self), host);
+        let slice = self.slice_ctl.slice(host);
         let slice_end = self.now + slice;
         self.vsched
             .vcpu_mut(idx)
@@ -1523,10 +1522,11 @@ impl Machine {
         } else {
             reason
         };
-        let slice_before = self.policy.grant_slice(&sched_ctx!(self), host);
-        let threshold_before = self.policy.yield_threshold(&sched_ctx!(self), host);
-        self.policy.on_vm_exit(&sched_ctx!(self), host, effective);
-        let slice_after = self.policy.grant_slice(&sched_ctx!(self), host);
+        let slice_before = self.slice_ctl.slice(host);
+        let threshold_before = self.yield_ctl.threshold(host);
+        self.slice_ctl.on_vm_exit(host, effective);
+        self.yield_ctl.on_vm_exit(host, effective);
+        let slice_after = self.slice_ctl.slice(host);
         if slice_after != slice_before {
             self.trace(
                 host,
@@ -1535,7 +1535,7 @@ impl Machine {
                 },
             );
         }
-        let threshold_after = self.policy.yield_threshold(&sched_ctx!(self), host);
+        let threshold_after = self.yield_ctl.threshold(host);
         if threshold_after != threshold_before {
             self.trace(
                 host,
@@ -1559,7 +1559,7 @@ impl Machine {
                     self.probe_starve[pi] += 1;
                     if d.yield_clamp && self.probe_starve[pi] >= d.starvation_window {
                         self.probe_starve[pi] = 0;
-                        if self.policy.clamp_yield_to_max(host) {
+                        if self.yield_ctl.clamp_to_max(host) {
                             self.health.yield_clamps += 1;
                             self.trace(
                                 host,
@@ -1606,21 +1606,10 @@ impl Machine {
                     cp_hosts.push(c);
                 }
             }
-            // The attempt is counted before the pick (a policy that
-            // finds nowhere to place still attempted), the fallback
-            // when the pick says so — preserving the pre-trait counter
-            // semantics exactly.
-            self.vsched.note_lock_reschedule();
-            let pick = self
-                .policy
-                .pick_reschedule_host(&sched_ctx!(self), &idle_dp, &cp_hosts);
-            if let Some(p) = pick {
-                if p.fallback {
-                    self.vsched.note_lock_fallback();
-                }
-                if self.vsched.host_free(p.host) {
-                    self.trace(p.host, TraceKind::LockReschedule { vcpu: idx as u32 });
-                    self.place_vcpu(idx, p.host);
+            if let Some(h) = self.vsched.pick_reschedule_host(&idle_dp, &cp_hosts) {
+                if self.vsched.host_free(h) {
+                    self.trace(h, TraceKind::LockReschedule { vcpu: idx as u32 });
+                    self.place_vcpu(idx, h);
                 }
             }
             self.scratch_idle_dp = idle_dp;
@@ -1961,9 +1950,9 @@ impl Machine {
         &self.hw_probe
     }
 
-    /// The adaptive yield controller (the active policy's view).
+    /// The adaptive yield controller.
     pub fn yield_ctl(&self) -> &AdaptiveYield {
-        self.policy.yield_view()
+        &self.yield_ctl
     }
 
     /// Completed VM startup times, in completion order.

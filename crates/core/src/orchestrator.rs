@@ -117,7 +117,7 @@ impl IpiOrchestrator {
     ///
     /// The source phase is accounted here: a vCPU source means the
     /// guest VM-exited to re-issue the IPI (counted in
-    /// [`IpiOrchestrator::reissued`]).
+    /// [`IpiOrchestrator::reissued_count`]).
     pub fn route(
         &mut self,
         msg: IpiMessage,

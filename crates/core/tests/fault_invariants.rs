@@ -93,16 +93,16 @@ fn invariants_hold_across_random_fault_matrix() {
     });
 }
 
-/// Every pluggable `Scheduler` implementation — the baseline policy
-/// (in its static-partitioning and type-2 regimes) and the Tai Chi
-/// policy — preserves the machine-wide invariants across a graded
-/// fault matrix. The checker's violation list covers stranded
-/// sleepers (dropped wakeups never re-armed) and leaked vCPU grants
-/// (a raise rolled back without conserving the vCPU), so a policy
-/// that mishandles a degradation path fails here by name.
+/// Every mode — static partitioning, type-2, full Tai Chi and its
+/// no-hardware-probe and vDP variants — preserves the machine-wide
+/// invariants across a graded fault matrix. The checker's violation
+/// list covers stranded sleepers (dropped wakeups never re-armed) and
+/// leaked vCPU grants (a raise rolled back without conserving the
+/// vCPU), so a mode that mishandles a degradation path fails here by
+/// name.
 #[test]
-fn every_policy_survives_graded_fault_matrix() {
-    for mode in [Mode::Baseline, Mode::TaiChi, Mode::Type2] {
+fn every_mode_survives_graded_fault_matrix() {
+    for mode in Mode::all() {
         for pct in [0u64, 1, 5, 20] {
             let cfg = MachineConfig {
                 seed: 0x5EED ^ (pct << 8),

@@ -185,6 +185,22 @@ fn vdp_mode_taxes_dp_processing() {
     );
 }
 
+/// The mode alone decides the two regime facts: Tai Chi modes build
+/// the vCPU pool, and only full Tai Chi and Tai Chi-vDP arm the
+/// hardware probe (Table 5 ablates it).
+#[test]
+fn mode_selects_vcpu_pool_and_hw_probe() {
+    for mode in Mode::all() {
+        let m = machine(mode);
+        let probe = match mode {
+            Mode::TaiChi | Mode::TaiChiVdp => true,
+            Mode::Baseline | Mode::TaiChiNoHwProbe | Mode::Type2 => false,
+        };
+        assert_eq!(m.vsched().is_empty(), !mode.has_taichi(), "{mode}");
+        assert_eq!(m.hw_probe().is_enabled(), probe, "{mode}");
+    }
+}
+
 #[test]
 fn type2_loses_a_dp_cpu() {
     let m = machine(Mode::Type2);

@@ -4,7 +4,7 @@
 //! reproducible equivalent is trace-driven replay. A [`Trace`] is an
 //! ordered list of packet records that can be captured from any
 //! generator, serialized to CSV (one line per packet), loaded back,
-//! and replayed through a [`TrafficGen`](crate::TrafficGen) — giving
+//! and replayed through a [`TrafficGen`] — giving
 //! experiments a fixed, inspectable workload that is independent of
 //! distribution parameters.
 

@@ -32,7 +32,7 @@
 //! accumulation is deterministic too.
 //!
 //! Each epoch-parallel worker owns a *pool* of machines and reports
-//! one batched [`WorkerDelta`] per epoch (not one message per
+//! one batched `WorkerDelta` per epoch (not one message per
 //! machine); the main thread drains the delta into the rack fold and
 //! recycles its backing storage back to the worker inside the next
 //! epoch command. Plans are never shipped at all — they are a pure

@@ -387,13 +387,6 @@ impl Kernel {
         self.cpu(cpu).map(|c| c.load()).unwrap_or(0)
     }
 
-    /// Queued-thread depth on `cpu`, excluding the running thread
-    /// (the runqueue view scheduling policies read through their
-    /// kernel context).
-    pub fn runqueue_depth(&self, cpu: CpuId) -> usize {
-        self.cpu(cpu).map(|c| c.queue.len()).unwrap_or(0)
-    }
-
     /// Lifetime busy fraction of `cpu`.
     pub fn cpu_utilization(&self, cpu: CpuId, now: SimTime) -> f64 {
         self.cpu(cpu)

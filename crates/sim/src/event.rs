@@ -446,7 +446,7 @@ impl<E> EventQueue<E> {
     /// Materializes every wheel bucket-head chunk up front so the
     /// steady-state loop never allocates one mid-run — the hot-profile
     /// companion to the eager [`INITIAL_SLOTS`] slab. Purely a storage
-    /// decision: the chunks hold only [`NIL`] heads, identical to
+    /// decision: the chunks hold only empty (`NIL`) heads, identical to
     /// absent chunks.
     pub fn prewarm(&mut self) {
         self.wheel.l0_head.materialize_all();
