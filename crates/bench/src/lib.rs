@@ -151,52 +151,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     }
 }
 
-/// Like [`bench()`] but for coarse operations (whole-machine runs):
-/// measures a fixed number of iterations and prints ms/iter.
-pub fn bench_coarse<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f()); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let per = start.elapsed().as_secs_f64() * 1e3 / iters as f64;
-    println!("{name:<32} {per:>12.2} ms/iter ({iters} iters)");
-}
-
-/// [`bench()`]'s measurement loop without the printing: returns ns/iter
-/// (used by `bench_engine` to assemble its JSON report).
-pub fn bench_ns<T>(mut f: impl FnMut() -> T) -> f64 {
-    const WARMUP: u32 = 1_000;
-    for _ in 0..WARMUP {
-        std::hint::black_box(f());
-    }
-    let mut iters = 0u64;
-    let mut batch = 1_000u64;
-    let start = std::time::Instant::now();
-    loop {
-        for _ in 0..batch {
-            std::hint::black_box(f());
-        }
-        iters += batch;
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() >= 200 {
-            return elapsed.as_nanos() as f64 / iters as f64;
-        }
-        batch = batch.saturating_mul(2);
-    }
-}
-
-/// [`bench_coarse`]'s measurement loop without the printing: returns
-/// ms/iter over a fixed iteration count.
-pub fn bench_coarse_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f()); // warmup
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64() * 1e3 / iters as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -371,7 +371,7 @@ pub struct Machine {
     util_interval: Option<SimDuration>,
 
     posted_interrupts: u64,
-    /// Packets delivered through [`Machine::inject_rx`]; doubles as
+    /// Packets delivered through [`Machine::inject_rx_for_tenant`]; doubles as
     /// the sequence counter for their salted ID namespace.
     injected_rx: u64,
     /// True while an [`Event::ArbiterIssue`] is outstanding — at most
@@ -672,21 +672,9 @@ impl Machine {
     /// arrival (preprocess, V-state probe check, shared-memory
     /// delivery). Injection order is part of the deterministic
     /// schedule: identical injection sequences give bit-identical
-    /// runs.
-    pub fn inject_rx(
-        &mut self,
-        at: SimTime,
-        kind: IoKind,
-        size_bytes: u32,
-        dest_cpu: CpuId,
-    ) -> PacketId {
-        self.inject_rx_for_tenant(at, kind, size_bytes, dest_cpu, taichi_hw::TenantId::HOST)
-    }
-
-    /// [`Machine::inject_rx`] with an explicit tenant tag — east-west
-    /// traffic belonging to a specific tenant in a multi-tenant fleet.
-    /// Tagging is pure relabelling: with one tenant the tag is ignored
-    /// by every downstream component.
+    /// runs. `tenant` tags the traffic with the tenant it belongs to
+    /// in a multi-tenant fleet. Tagging is pure relabelling: with one
+    /// tenant the tag is ignored by every downstream component.
     pub fn inject_rx_for_tenant(
         &mut self,
         at: SimTime,
@@ -704,29 +692,20 @@ impl Machine {
         id
     }
 
-    /// Packets delivered through [`Machine::inject_rx`] so far.
+    /// Packets delivered through [`Machine::inject_rx_for_tenant`] so far.
     pub fn injected_rx(&self) -> u64 {
         self.injected_rx
     }
 
-    /// Drains every DP service's accumulated latency records into one
-    /// merged recorder, leaving the services empty. The fleet layer
-    /// calls this at each epoch boundary and folds the returned delta
-    /// straight into its rack-level aggregate, so no per-machine
-    /// history accumulates anywhere. Whole-run reporting
+    /// Drains every DP service's accumulated latency records into the
+    /// caller-owned `dest`, leaving the services empty. The fleet layer
+    /// calls this at each epoch boundary and folds the delta straight
+    /// into its rack-level aggregate, so no per-machine history
+    /// accumulates anywhere, and reuses one scratch recorder instead
+    /// of allocating per drain. Whole-run reporting
     /// ([`crate::metrics::RunReport::collect`]) reads the recorders
     /// cumulatively and must not be mixed with per-epoch draining on
     /// the same machine.
-    pub fn drain_dp_recorders(&mut self) -> taichi_dp::LatencyRecorder {
-        let mut merged = taichi_dp::LatencyRecorder::new();
-        self.drain_dp_recorders_into(&mut merged);
-        merged
-    }
-
-    /// [`Machine::drain_dp_recorders`] into a caller-owned recorder:
-    /// each service's records are merged into `dest` and cleared in
-    /// place, so a fleet driver draining every machine every epoch
-    /// reuses one scratch recorder instead of allocating per drain.
     pub fn drain_dp_recorders_into(&mut self, dest: &mut taichi_dp::LatencyRecorder) {
         for s in &mut self.services {
             s.drain_recorder_into(dest);
@@ -783,13 +762,6 @@ impl Machine {
                 .map(|s| s.ring_resident_bytes())
                 .sum::<usize>()
             + self.accel.tenant_ring_resident_bytes()
-    }
-
-    /// Spawns one CP task now with the mode's default CP affinity.
-    pub fn spawn_cp_now(&mut self, program: Program) -> ThreadId {
-        let program = self.maybe_transform(program);
-        let aff = self.cp_affinity;
-        self.with_kernel(|k, now, out| k.spawn(program, aff, now, out))
     }
 
     /// Schedules a batch of CP tasks to spawn at `at`; returns a batch
@@ -2054,7 +2026,7 @@ impl Machine {
 
     /// Drains every DP service's per-tenant latency records into one
     /// merged recorder per tenant, leaving the services empty — the
-    /// per-tenant sibling of [`Machine::drain_dp_recorders`], with the
+    /// per-tenant sibling of [`Machine::drain_dp_recorders_into`], with the
     /// same epoch-draining contract. Empty when single-tenant.
     pub fn drain_tenant_recorders(&mut self) -> Vec<taichi_dp::LatencyRecorder> {
         let mut merged = Vec::new();

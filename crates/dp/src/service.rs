@@ -344,19 +344,11 @@ impl DpService {
         &self.tagged
     }
 
-    /// Takes the accumulated latency records, leaving an empty
-    /// recorder behind. Epoch-oriented drivers (the fleet layer) drain
+    /// Merges the accumulated latency records into `dest` and clears
+    /// them in place. Epoch-oriented drivers (the fleet layer) drain
     /// each machine per epoch and fold the delta into a streaming
     /// aggregate, so no service retains its full history; counters
     /// (`processed`, `dropped`) stay cumulative.
-    pub fn take_recorder(&mut self) -> LatencyRecorder {
-        std::mem::take(&mut self.recorder)
-    }
-
-    /// Merges the accumulated latency records into `dest` and clears
-    /// them in place — the allocation-free sibling of
-    /// [`DpService::take_recorder`] for epoch-oriented drivers that
-    /// drain every machine every epoch. Counters stay cumulative.
     pub fn drain_recorder_into(&mut self, dest: &mut LatencyRecorder) {
         self.recorder.drain_into(dest);
     }
@@ -367,7 +359,7 @@ impl DpService {
     }
 
     /// Takes the per-tenant recorders, leaving empty ones behind (the
-    /// per-tenant sibling of [`DpService::take_recorder`]). Counters
+    /// per-tenant sibling of [`DpService::drain_recorder_into`]). Counters
     /// stay cumulative.
     pub fn take_tenant_recorders(&mut self) -> Vec<LatencyRecorder> {
         let n = self.tenant_recorders.len();

@@ -23,7 +23,7 @@
 //! # Streaming aggregation and worker pooling
 //!
 //! Machines are *drained* at every epoch boundary
-//! ([`Machine::drain_dp_recorders`]) and the deltas folded immediately
+//! ([`Machine::drain_dp_recorders_into`]) and the deltas folded immediately
 //! into one rack-level [`LatencyRecorder`] plus one machine-utilization
 //! [`Histogram`] — per-machine histograms are never retained, so the
 //! aggregation state is `O(workers)` histograms regardless of fleet
@@ -373,15 +373,6 @@ fn fill_plans(
             }
         }
     }
-}
-
-/// Builds every machine's plan for `epoch` into a fresh vector — the
-/// allocating convenience wrapper over [`fill_plans`].
-#[cfg(test)]
-fn make_plans(cfg: &FleetConfig, epoch: usize, congested: bool) -> Vec<EpochPlan> {
-    let mut plans = Vec::new();
-    fill_plans(cfg, epoch, congested, &mut plans, None);
-    plans
 }
 
 // ---------------------------------------------------------------------
@@ -1120,6 +1111,14 @@ fn run_epoch_parallel(cfg: &FleetConfig, workers: usize) -> FleetResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds every machine's plan for `epoch` into a fresh vector — the
+    /// allocating convenience wrapper over [`fill_plans`].
+    fn make_plans(cfg: &FleetConfig, epoch: usize, congested: bool) -> Vec<EpochPlan> {
+        let mut plans = Vec::new();
+        fill_plans(cfg, epoch, congested, &mut plans, None);
+        plans
+    }
 
     fn tiny() -> FleetConfig {
         FleetConfig {

@@ -165,8 +165,8 @@ pub struct Kernel {
     threads: Vec<Thread>,
     locks: LockTable,
     softirqs: SoftirqState,
-    /// Threads that finished (kept for metrics queries).
-    finished: Vec<ThreadId>,
+    /// Number of threads that finished.
+    finished: usize,
     tracer: Option<Tracer>,
 }
 
@@ -179,7 +179,7 @@ impl Kernel {
             threads: Vec::new(),
             locks: LockTable::new(),
             softirqs: SoftirqState::new(0),
-            finished: Vec::new(),
+            finished: 0,
             tracer: None,
         };
         for &c in boot_cpus {
@@ -777,7 +777,7 @@ impl Kernel {
                     let t = self.thread_mut(tid);
                     t.state = ThreadState::Finished;
                     t.finished_at = Some(now);
-                    self.finished.push(tid);
+                    self.finished += 1;
                     out.push(KernelAction::ThreadFinished { tid });
                     self.clear_current(cpu, now);
                     self.dispatch_next(cpu, now, out);
@@ -986,12 +986,7 @@ impl Kernel {
 
     /// Count of finished threads.
     pub fn finished_count(&self) -> usize {
-        self.finished.len()
-    }
-
-    /// IDs of finished threads in completion order.
-    pub fn finished_threads(&self) -> &[ThreadId] {
-        &self.finished
+        self.finished
     }
 }
 

@@ -61,11 +61,6 @@
 //! the two wheel levels remove the entry *eagerly*; only the overflow
 //! heap cancels lazily (a flipped bit, discarded when the entry
 //! surfaces or is promoted).
-//!
-//! Advancing the level-0 window over a long idle gap hops via the
-//! level-1 occupancy bitmap: a span of empty calendar costs one bitmap
-//! scan, not one iteration per 131 µs block, so a simulated
-//! multi-second quiet period is O(occupied buckets) to cross.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -784,68 +779,29 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the level-0 window forward so that its exclusive end is
-    /// `new_end` (a multiple of `G1`), draining the level-1 buckets the
-    /// window passes over and promoting overflow entries into the
-    /// freshly uncovered level-1 range. Cancelled overflow entries are
-    /// retired instead of promoted — the wheel proper never holds a
-    /// cancelled entry.
-    ///
-    /// Empty stretches are hopped via the level-1 occupancy bitmap in
-    /// one assignment: a gap of N empty G1 blocks costs one bitmap
-    /// scan, not N per-block iterations, so crossing a long idle gap
-    /// is O(occupied buckets) rather than O(elapsed time). The hop is
-    /// safe for overflow promotion because callers derive `new_end`
-    /// from an occupied level-1 bucket or from the overflow minimum:
-    /// every overflow time is `>= new_end - G1`, so a promoted entry
-    /// can never land behind the hopped window.
+    /// `new_end` (a multiple of `G1`), one `G1` block at a time: each
+    /// step drains the level-1 bucket of the block entering the window
+    /// into level 0 and promotes the overflow entries the moved level-1
+    /// horizon now covers. Cancelled overflow entries are retired
+    /// instead of promoted — the wheel proper never holds a cancelled
+    /// entry.
     fn advance_to(&mut self, new_end: u64) {
         while self.wheel.l0_end < new_end {
             let wheel = &mut *self.wheel;
-            // Hop straight to the next occupied level-1 bucket (ring
-            // order from the window position); everything before it is
-            // provably empty calendar.
-            let cur1 = Wheel::l1_bucket(wheel.l0_end);
-            let steps_left = ((new_end - wheel.l0_end) >> G1_BITS) as usize;
-            let hop = if wheel.l1_count == 0 {
-                None
-            } else {
-                find_set_from(&wheel.l1_mask, cur1).map(|b| (b + N1 - cur1) % N1)
-            };
-            match hop {
-                Some(dist) if dist < steps_left => {
-                    // Jump to the occupied bucket and drain it into
-                    // level 0. List order is irrelevant: the
-                    // per-bucket min-scan re-establishes (time, seq)
-                    // order.
-                    wheel.l0_end += dist as u64 * G1;
-                    let end = wheel.l0_end + G1;
-                    let b1 = Wheel::l1_bucket(wheel.l0_end);
-                    let mut cur = wheel.l1_head.take(b1);
-                    clear_bit(&mut wheel.l1_mask, b1);
-                    while cur != NIL {
-                        let nxt = self.slots[cur as usize].next;
-                        debug_assert!(self.slots[cur as usize].time.as_nanos() >= wheel.l0_end);
-                        debug_assert!(self.slots[cur as usize].time.as_nanos() < end);
-                        wheel.l1_count -= 1;
-                        l0_link(wheel, &mut self.slots, cur);
-                        cur = nxt;
-                    }
-                    wheel.l0_end = end;
-                }
-                _ => {
-                    // No occupied bucket inside the span: every block
-                    // up to `new_end` is empty (the nearest occupancy
-                    // sits at or beyond it), so the window crosses the
-                    // whole stretch in one assignment with nothing to
-                    // drain.
-                    wheel.l0_end = new_end;
-                }
+            // List order is irrelevant: the per-bucket min-scan
+            // re-establishes (time, seq) order.
+            let b1 = Wheel::l1_bucket(wheel.l0_end);
+            let mut cur = wheel.l1_head.take(b1);
+            clear_bit(&mut wheel.l1_mask, b1);
+            wheel.l0_end += G1;
+            while cur != NIL {
+                let nxt = self.slots[cur as usize].next;
+                let t = self.slots[cur as usize].time.as_nanos();
+                debug_assert!((wheel.l0_end - G1..wheel.l0_end).contains(&t));
+                wheel.l1_count -= 1;
+                l0_link(wheel, &mut self.slots, cur);
+                cur = nxt;
             }
-            // The level-1 horizon moved with the window: promote
-            // overflow entries that now fall under it. (Inside the
-            // loop: a promoted entry may land in a bucket the window
-            // still has to pass, and the next iteration's bitmap scan
-            // drains it.)
             let h1 = self.wheel.h1();
             while let Some(&entry) = self.wheel.overflow.peek() {
                 if entry.time.as_nanos() >= h1 {
